@@ -17,9 +17,7 @@ from .torus import (
     Field,
     FieldPair,
     LatticeError,
-    Momentum,
     TorusShape,
-    dual_lattice,
     inner_product,
     make_shape,
 )
@@ -30,9 +28,7 @@ __all__ = [
     "Field",
     "FieldPair",
     "LatticeError",
-    "Momentum",
     "TorusShape",
-    "dual_lattice",
     "inner_product",
     "make_shape",
     "__version__",

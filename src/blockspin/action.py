@@ -30,7 +30,9 @@ from .torus import (
     TorusShape,
     fft_mode_grid,
     fiber_momenta,
+    field_modes,
     inner_product,
+    negate_modes,
     radians_for_modes,
 )
 
@@ -164,17 +166,6 @@ def well_geometry(flow, shape: TorusShape, per_site: bool = True) -> WellGeometr
 # quadratic approximations
 # ---------------------------------------------------------------------------
 
-def _mode_coefficients(f: Field) -> np.ndarray:
-    return np.fft.fftn(f.values) / f.sites
-
-
-def _negated(c: np.ndarray) -> np.ndarray:
-    out = c
-    for axis in range(c.ndim):
-        out = np.roll(np.flip(out, axis=axis), 1, axis=axis)
-    return out
-
-
 def zero_field_quadratic_form(psi_pair: FieldPair, params: ModelParams, shape: TorusShape,
                               mode: str = "discrete", profile: AveragingProfile = SHARP) -> complex:
     """<psi_star, (effective quadratic kernel around zero field) psi>_0.
@@ -188,8 +179,8 @@ def zero_field_quadratic_form(psi_pair: FieldPair, params: ModelParams, shape: T
     sigma = zero_field_symbol(k.reshape(-1, 4), params.mu, params.d, shape, mode, profile).reshape(
         shape.unit_extents
     )
-    c_star = _negated(_mode_coefficients(psi_pair.starred))
-    c_plain = _mode_coefficients(psi_pair.plain)
+    c_star = negate_modes(field_modes(psi_pair.starred))
+    c_plain = field_modes(psi_pair.plain)
     return complex(psi_pair.plain.sites * np.sum(c_star * sigma * c_plain))
 
 
@@ -206,10 +197,10 @@ def well_quadratic_form(R: Field, Theta: Field, params: ModelParams, shape: Toru
         raise LatticeError("well form takes unit-level fields")
     k = radians_for_modes(shape, fft_mode_grid(shape.unit_extents)).reshape(-1, 4)
     sigma = well_symbol(k, params.mu, params.d, shape, mode, profile)
-    cR = _mode_coefficients(R).reshape(-1)
-    cT = _mode_coefficients(Theta).reshape(-1)
-    cRn = _negated(_mode_coefficients(R)).reshape(-1)
-    cTn = _negated(_mode_coefficients(Theta)).reshape(-1)
+    cR = field_modes(R).reshape(-1)
+    cT = field_modes(Theta).reshape(-1)
+    cRn = negate_modes(field_modes(R)).reshape(-1)
+    cTn = negate_modes(field_modes(Theta)).reshape(-1)
     quad = np.sum(
         cRn * (sigma[:, 0, 0] * cR + sigma[:, 0, 1] * cT)
         + cTn * (sigma[:, 1, 0] * cR + sigma[:, 1, 1] * cT)
@@ -248,14 +239,13 @@ def fluctuation_spectrum(params: ModelParams, shape: TorusShape,
     the verification that the square root's spectrum lies in the open right
     half-plane.
     """
-    k_unit, ell = fiber_momenta(shape)
+    p = fiber_momenta(shape)
+    u_rows = averaging_symbol(p, shape, profile)
+    a_rows = heat_symbol(p, shape, params.d, "discrete") - params.mu
     eigs_all = []
     sqrt_resid = 0.0
     sqrt_rhp = True
-    for r in range(k_unit.shape[0]):
-        p = k_unit[r][None, :] + ell
-        u = averaging_symbol(p, shape, profile)
-        a = heat_symbol(p, shape, params.d, "discrete") - params.mu
+    for u, a in zip(u_rows, a_rows):
         coupled = np.abs(u) > 1e-12
         a_dec = a[~coupled]
         eigs_all.append(a_dec)
@@ -286,5 +276,5 @@ def fluctuation_spectrum(params: ModelParams, shape: TorusShape,
         min_distance=float(np.min(dist)),
         sqrt_residual=sqrt_resid,
         sqrt_in_right_half_plane=sqrt_rhp,
-        blocks=k_unit.shape[0],
+        blocks=len(u_rows),
     )

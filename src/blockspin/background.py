@@ -8,9 +8,15 @@ fields (psi_star, psi) is
 
 Solvers, in increasing generality: constant fields (a real cubic), the
 linearization around zero field (exact momentum-space solve through the
-fiber rank-one structure), the linearization around the well bottom (2x2
-Woodbury per fiber), and damped Newton on the full nonlinear system with
-the exact Jacobian (dense at small sizes, preconditioned GMRES above).
+rank-one kernel :func:`blockspin.symbols.fiber_resolvent`), the
+linearization around the well bottom (the 2x2 Woodbury kernel
+:func:`blockspin.symbols.well_resolvent`), and damped Newton on the full
+nonlinear system with the exact Jacobian (dense at small sizes, GMRES
+preconditioned by the rank-one kernel above).  Both kernels follow the
+symbols module's pole rule: a fiber row may hold at most one exact zero of
+its diagonal, with live averaging weight; any other pattern raises
+:class:`NumericalError` naming the row.  This module builds the fiber data
+(averaging weights u, diagonals a or D) over :func:`fiber_momenta`.
 """
 
 from __future__ import annotations
@@ -30,15 +36,18 @@ from .lattice_ops import (
     fine_average_adjoint,
     operator_matrix,
 )
-from .symbols import NumericalError, averaging_symbol, heat_symbol, well_matrix, _inv2, _det2
+from .symbols import NumericalError, averaging_symbol, fiber_resolvent, heat_symbol, well_matrix, well_resolvent
 from .torus import (
     Field,
     FieldPair,
     LatticeError,
     TorusShape,
+    fft_mode_grid,
     fiber_merge,
     fiber_momenta,
     fiber_split,
+    field_modes,
+    radians_for_modes,
 )
 
 __all__ = [
@@ -137,8 +146,7 @@ class _FiberOperator:
         self.shape = shape
         self.params = params
         self.profile = profile
-        k_unit, ell = fiber_momenta(shape)
-        p = k_unit[:, None, :] + ell[None, :, :]  # (U, B, 4)
+        p = fiber_momenta(shape)
         self.u = averaging_symbol(p, shape, profile)
         self.a_plain = heat_symbol(p, shape, params.d, "discrete") - params.mu
         self.a_star = heat_symbol(p, shape, params.d, "discrete", transpose=True) - params.mu
@@ -149,31 +157,7 @@ class _FiberOperator:
         rhs, result: (U, B) fiber arrays of mode coefficients.
         """
         a = (self.a_star if transpose else self.a_plain) + shift
-        u = self.u
-        zero = a == 0.0
-        out = np.empty_like(rhs)
-        regular = ~zero.any(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_a = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, a))
-        Su = np.sum(u * u * inv_a, axis=1)
-        Sc = np.sum(u * rhs * inv_a, axis=1)
-        factor = Sc / (1.0 + Su)
-        out[:] = (rhs - u * factor[:, None]) * inv_a
-        for r in np.nonzero(~regular)[0]:
-            zi = np.nonzero(zero[r])[0]
-            if len(zi) > 1 or abs(u[r, zi[0]]) < 1e-12:
-                raise NumericalError(
-                    f"resolvent singular on fiber {r}: subtraction point in the spectrum"
-                )
-            j = zi[0]
-            s = rhs[r, j] / u[r, j]
-            x = np.zeros_like(rhs[r])
-            others = np.ones(len(x), dtype=bool)
-            others[j] = False
-            x[others] = (rhs[r, others] - u[r, others] * s) / a[r, others]
-            x[j] = (s - np.sum(u[r, others] * x[others])) / u[r, j]
-            out[r] = x
-        return out
+        return fiber_resolvent(a, self.u, rhs)[1]
 
     def solve_field(self, rhs_values: np.ndarray, transpose: bool = False, shift: complex = 0.0) -> np.ndarray:
         coeffs = np.fft.fftn(rhs_values) / rhs_values.size
@@ -235,48 +219,13 @@ def solve_well_linear(R: Field, Theta: Field, params: ModelParams, shape: TorusS
     """
     if R.level != "unit" or Theta.level != "unit":
         raise LatticeError("radial/tangential data live on the unit lattice")
-    cR = (np.fft.fftn(R.values) / R.sites).reshape(-1)
-    cT = (np.fft.fftn(Theta.values) / Theta.sites).reshape(-1)
-    k_unit, ell = fiber_momenta(shape)
-    U, B = k_unit.shape[0], ell.shape[0]
-    p = k_unit[:, None, :] + ell[None, :, :]
+    w = np.stack([field_modes(R).reshape(-1), field_modes(Theta).reshape(-1)], axis=-1)
+    p = fiber_momenta(shape)
     u = averaging_symbol(p, shape, profile)
     D = well_matrix(p, params.mu, params.d, shape, mode)
-    det = _det2(D)
-    cX = np.zeros((U, B), dtype=complex)
-    cH = np.zeros((U, B), dtype=complex)
-    eye = np.eye(2)
-    for r in range(U):
-        w = np.array([cR[r], cT[r]])
-        s_idx = np.nonzero(det[r] == 0.0)[0]
-        u2 = (u[r] * u[r])[:, None, None]
-        if len(s_idx) == 0:
-            invs = _inv2(D[r])
-            Bsum = np.sum(u2 * invs, axis=0)
-            y = np.linalg.solve(eye + Bsum, w)
-            c = invs @ (u[r, :, None] * y)[..., None]
-            cX[r] = c[:, 0, 0]
-            cH[r] = c[:, 1, 0]
-        elif len(s_idx) == 1:
-            j = s_idx[0]
-            ok = np.ones(B, dtype=bool)
-            ok[j] = False
-            invs_ok = _inv2(D[r][ok])
-            Rsum = np.sum(u2[ok] * invs_ok, axis=0)
-            Dj = D[r, j]
-            base = Dj + (u[r, j] ** 2) * eye + Rsum @ Dj
-            z = np.linalg.solve(base, w)
-            cj = u[r, j] * z
-            y = Dj @ z
-            c_ok = invs_ok @ (u[r, ok, None] * y)[..., None]
-            cX[r, ok] = c_ok[:, 0, 0]
-            cH[r, ok] = c_ok[:, 1, 0]
-            cX[r, j] = cj[0]
-            cH[r, j] = cj[1]
-        else:
-            raise NumericalError(f"well operator fiber {r} singular at more than one momentum")
-    X_vals = np.fft.ifftn(fiber_merge(cX, shape)) * shape.sites("fine")
-    H_vals = np.fft.ifftn(fiber_merge(cH, shape)) * shape.sites("fine")
+    _, c = well_resolvent(D, u, w)
+    X_vals = np.fft.ifftn(fiber_merge(c[..., 0], shape)) * shape.sites("fine")
+    H_vals = np.fft.ifftn(fiber_merge(c[..., 1], shape)) * shape.sites("fine")
     X = Field(shape, "fine", X_vals)
     H = Field(shape, "fine", H_vals)
     resid = _well_residual(X, H, R, Theta, params, shape, mode, profile)
@@ -289,7 +238,7 @@ def solve_well_linear(R: Field, Theta: Field, params: ModelParams, shape: TorusS
 def apply_well_operator(X: Field, H: Field, params: ModelParams, shape: TorusShape,
                         mode: str = "discrete", profile: AveragingProfile = SHARP) -> tuple[np.ndarray, np.ndarray]:
     """Full-grid application of the 2x2 well operator plus averaging mass."""
-    k_all = _fine_mode_radians(shape)
+    k_all = radians_for_modes(shape, fft_mode_grid(shape.fine_extents))
     D = well_matrix(k_all, params.mu, params.d, shape, mode)
     cX = np.fft.fftn(X.values) / X.sites
     cH = np.fft.fftn(H.values) / H.sites
@@ -305,14 +254,6 @@ def _well_residual(X, H, R, Theta, params, shape, mode, profile) -> float:
     rhsX = fine_average_adjoint(R, profile).values
     rhsH = fine_average_adjoint(Theta, profile).values
     return float(max(np.max(np.abs(outX - rhsX)), np.max(np.abs(outH - rhsH))))
-
-
-def _fine_mode_radians(shape: TorusShape) -> np.ndarray:
-    from .torus import fft_mode_grid
-
-    modes = fft_mode_grid(shape.fine_extents).astype(float)
-    base = np.asarray(shape.unit_extents, dtype=float)
-    return 2.0 * np.pi * modes / base
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice_ops import SHARP, AveragingProfile, block_average, block_average_adjoint, operator_matrix, profile_axis_symbol
-from .symbols import NumericalError
-from .torus import Field, LatticeError, TorusShape, _symmetric_range
+from .symbols import NumericalError, fiber_resolvent
+from .torus import Field, LatticeError, TorusShape, _symmetric_range, fiber_split, make_shape, negate_modes
 
 __all__ = [
     "FlowParams",
@@ -156,14 +156,10 @@ class QuadraticAction:
         return -complex(self.symbol_grid[(0,) * len(self.extents)])
 
 
-def _block_counts(L: int) -> tuple[int, int, int, int]:
-    return (L * L, L, L, L)
-
-
 def _profile_grid(extents, L: int, profile: AveragingProfile) -> np.ndarray:
     """Block-averaging transform over the full input mode grid."""
     out = np.ones(tuple(extents))
-    for axis, (N, blen) in enumerate(zip(extents, _block_counts(L))):
+    for axis, (N, blen) in enumerate(zip(extents, (L * L, L, L, L))):
         theta = 2.0 * np.pi * np.arange(N) / N
         fac = profile_axis_symbol(theta, blen, profile.exponent)
         shape_vec = [1, 1, 1, 1]
@@ -172,24 +168,16 @@ def _profile_grid(extents, L: int, profile: AveragingProfile) -> np.ndarray:
     return out
 
 
-def _fiberize(grid: np.ndarray, extents, L: int) -> np.ndarray:
-    """(coarse sites..., fiber) view of an input-grid array."""
-    bt, bx = L * L, L
-    Ntp = extents[0] // bt
-    N1, N2, N3 = extents[1] // bx, extents[2] // bx, extents[3] // bx
-    a = grid.reshape(bt, Ntp, bx, N1, bx, N2, bx, N3)
-    a = a.transpose(1, 3, 5, 7, 0, 2, 4, 6)
-    return a.reshape(Ntp, N1, N2, N3, bt * bx * bx * bx)
-
-
 def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile = SHARP) -> QuadraticAction:
     """One exact quadratic-level block-spin step.
 
-    Per output momentum the fiber sum T = sum_m qhat(K+m)^2 / symbol(K+m)
-    yields the new symbol L^2 / (L^2 + T); an infinite T (the input symbol
-    vanishing on the fiber with live averaging weight) is the massless limit
-    and maps to 0.  A vanishing input symbol where the averaging weight also
-    vanishes makes the Gaussian degenerate and is reported.
+    Per output momentum K the input grid's fiber over K (in the layout of
+    :func:`blockspin.torus.fiber_split`, spatial extents equal) goes through
+    :func:`blockspin.symbols.fiber_resolvent` with u = qhat/L: the new symbol
+    is L^2 / (L^2 + T), T = sum_m qhat(K+m)^2 / symbol(K+m).  One vanishing
+    input symbol with live averaging weight is the massless limit and maps
+    to 0; any other vanishing pattern makes the Gaussian degenerate and
+    raises :class:`NumericalError`.
 
     The block-spin weight is a/L^2 with a = 1, so one step of the heat
     action gives the scale-1 kernel (1 + S)^-1 of
@@ -199,29 +187,17 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     running prefactor builds up over the chain rather than being applied
     per step.
     """
-    Nt = action.extents[0]
-    if Nt % (L * L) != 0 or any(e % L != 0 for e in action.extents[1:]):
-        raise LatticeError(f"block step needs L^2 | Nt and L | Nx, got {action.extents}, L={L}")
+    Nt, Nx = action.extents[:2]
+    if Nt % (L * L) != 0 or Nx % L != 0 or any(e != Nx for e in action.extents[2:]):
+        raise LatticeError(f"block step needs L^2 | Nt, L | Nx and cubic space, got {action.extents}, L={L}")
+    out_shape = make_shape(1, L, Nt // (L * L), Nx // L)
     q = _profile_grid(action.extents, L, profile)
-    q_f = _fiberize(q, action.extents, L)
-    a_f = _fiberize(action.symbol_grid, action.extents, L)
-    zero = a_f == 0.0
-    bad = zero & (np.abs(q_f) < 1e-14)
-    if np.any(bad):
-        idx = np.argwhere(bad.any(axis=-1))[0]
-        raise NumericalError(f"degenerate fiber at output momentum index {tuple(int(i) for i in idx)}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(zero, 0.0, q_f * q_f / np.where(zero, 1.0, a_f))
-    T = terms.sum(axis=-1)
-    has_pole = zero.any(axis=-1)
-    Lsq = float(L * L)
-    denom = Lsq + T
-    if np.any(np.abs(denom[~has_pole]) < 1e-12):
-        idx = np.argwhere((np.abs(denom) < 1e-12) & ~has_pole)[0]
-        raise NumericalError(f"degenerate fiber at output momentum index {tuple(int(i) for i in idx)}")
-    out = np.where(has_pole, 0.0, Lsq / np.where(has_pole, 1.0, denom))
-    new_extents = (Nt // (L * L),) + tuple(e // L for e in action.extents[1:])
-    return QuadraticAction(new_extents, out, provenance=f"step({action.provenance})")
+    q /= L
+    u = fiber_split(q, out_shape)
+    del q
+    sigma = fiber_resolvent(fiber_split(action.symbol_grid, out_shape), u)
+    return QuadraticAction(out_shape.unit_extents, sigma.reshape(out_shape.unit_extents),
+                           provenance=f"step({action.provenance})")
 
 
 def block_spin_step_dense(action: QuadraticAction, L: int, profile: AveragingProfile = SHARP,
@@ -322,10 +298,7 @@ def quadratic_action_form(action: QuadraticAction, psi_star: Field, psi: Field) 
     """<psi_star, K psi>_0 through the symbol grid."""
     c_star = np.fft.fftn(psi_star.values) / psi_star.sites
     c_plain = np.fft.fftn(psi.values) / psi.sites
-    neg = c_star
-    for axis in range(4):
-        neg = np.roll(np.flip(neg, axis=axis), 1, axis=axis)
-    return complex(psi.sites * np.sum(neg * action.symbol_grid * c_plain))
+    return complex(psi.sites * np.sum(negate_modes(c_star) * action.symbol_grid * c_plain))
 
 
 # ---------------------------------------------------------------------------

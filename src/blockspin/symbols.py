@@ -5,7 +5,18 @@ p = k + l, where k is a unit-lattice momentum and l runs over the L^(5n)
 block momenta.  Box averaging couples each fiber through the rank-one matrix
 u u^T built from the averaging-profile transform u(p), so composite unit
 symbols reduce to finite fiber sums plus rank-one (or 2x2 Woodbury)
-inversions.  Dense fiber inversion is kept as an oracle.
+inversions.  Two batched kernels do all of that algebra for the package:
+
+* :func:`fiber_resolvent` -- diag(a) + u u^T per fiber row (the zero-field
+  symbol, the linear background solve, the quadratic block-spin step),
+* :func:`well_resolvent` -- blockdiag(D) + (u x I)(u x I)^T with 2x2 blocks D
+  (the well symbol and the linearized well solve).
+
+Both follow one pole rule: a row may hold at most one exact zero of its
+diagonal (a_j = 0, or det D_j = 0), and that entry must carry live averaging
+weight; the row is then solved in closed form (its scalar factor is 0).  Any
+other vanishing pattern raises :class:`NumericalError` naming the row.  Dense
+fiber inversion is kept as the oracle.
 
 Two time-derivative modes are supported:
 
@@ -33,14 +44,14 @@ from .torus import LatticeError, TorusShape, block_momenta
 __all__ = [
     "NumericalError",
     "averaging_symbol",
-    "block_profile_symbol",
     "heat_symbol",
+    "fiber_resolvent",
+    "well_resolvent",
     "zero_field_symbol",
     "zero_field_symbol_dense",
     "delta_identity_check",
     "well_matrix",
     "well_symbol",
-    "well_feedback",
     "well_fiber_dense",
     "SmallKFit",
     "small_k_fit",
@@ -87,13 +98,6 @@ def averaging_symbol(p, shape: TorusShape, profile: AveragingProfile = SHARP):
     return out
 
 
-def block_profile_symbol(k, shape: TorusShape, profile: AveragingProfile = SHARP):
-    """Fourier transform of the unit-lattice block-averaging kernel at k."""
-    from .lattice_ops import block_profile_symbol as _bps
-
-    return _bps(k, shape, profile)
-
-
 def _spatial_stencil(p: np.ndarray, eps_x: float) -> np.ndarray:
     return sum((2.0 - 2.0 * np.cos(eps_x * p[..., i])) / (eps_x * eps_x) for i in (1, 2, 3))
 
@@ -121,6 +125,102 @@ def heat_symbol(p, shape: TorusShape, d: float = 1.0, mode: str = "discrete", tr
 
 
 # ---------------------------------------------------------------------------
+# the two fiber kernels
+# ---------------------------------------------------------------------------
+
+#: averaging weights at or below this are dead (the entry decouples)
+_DEAD_WEIGHT = 1e-12
+#: a rank-one (or 2x2) factor this close to singular is a spectrum hit
+_SINGULAR = 1e-12
+
+
+def _adj2(M: np.ndarray) -> np.ndarray:
+    """Adjugate of 2x2 blocks, so inv(M) = adj(M) / det(M); linear in M."""
+    out = np.empty_like(M)
+    out[..., 0, 0] = M[..., 1, 1]
+    out[..., 1, 1] = M[..., 0, 0]
+    out[..., 0, 1] = -M[..., 0, 1]
+    out[..., 1, 0] = -M[..., 1, 0]
+    return out
+
+
+def _inv2(M: np.ndarray) -> np.ndarray:
+    return _adj2(M) / _det2(M)[..., None, None]
+
+
+def _det2(M: np.ndarray) -> np.ndarray:
+    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+
+
+def _raise_at(bad: np.ndarray, why: str) -> None:
+    if np.any(bad):
+        row = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise NumericalError(f"fiber row {row} singular: {why}")
+
+
+def _pole_rows(pole: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Rows holding one pole; raises on any other vanishing pattern."""
+    count = pole.sum(axis=-1)
+    _raise_at((count > 1) | (pole & (np.abs(u) <= _DEAD_WEIGHT)).any(axis=-1),
+              "more than one pole, or a pole without averaging weight")
+    return count == 1
+
+
+def fiber_resolvent(a: np.ndarray, u: np.ndarray, rhs: np.ndarray | None = None):
+    """Batched resolvent of diag(a) + u u^T on every fiber row (last axis).
+
+    Returns sigma = (1 + sum_l u_l^2 / a_l)^(-1) per row, the rank-one
+    (Sherman-Morrison) factor; with ``rhs`` returns (sigma, x) where x solves
+    (diag(a) + u u^T) x = rhs.  A pole row (a_j = 0 with live u_j) has
+    sigma = 0, u.x = rhs_j / u_j, x_l = (rhs_l - u_l u.x) / a_l off the pole
+    and x_j = (u.x - sum_{l != j} u_l x_l) / u_j.
+    """
+    pole = a == 0.0
+    has = _pole_rows(pole, u)
+    inv_a = np.divide(1.0, a, out=np.zeros(a.shape, dtype=complex), where=~pole)
+    one_s = 1.0 + np.einsum("...j,...j->...", u * u, inv_a)
+    _raise_at((np.abs(one_s) < _SINGULAR) & ~has, "the resummation factor vanishes")
+    sigma = np.divide(1.0, one_s, out=np.zeros_like(one_s), where=~has)
+    if rhs is None:
+        return sigma
+    ux = sigma * np.einsum("...j,...j->...", u * rhs, inv_a)
+    ux[has] = rhs[pole] / u[pole]
+    x = (rhs - u * ux[..., None]) * inv_a
+    x[pole] = (ux - np.einsum("...j,...j->...", u, x))[has] / u[pole]
+    return sigma, x
+
+
+def well_resolvent(D: np.ndarray, u: np.ndarray, w: np.ndarray | None = None):
+    """Batched 2x2 Woodbury resolvent of blockdiag(D) + (u x I)(u x I)^T.
+
+    D is (..., B, 2, 2), u is (..., B).  Returns W = (I + R)^(-1) with
+    R = sum_l u_l^2 D_l^(-1) over the non-pole entries; on a row with one
+    pole j (det D_j = 0) W = (D_j + u_j^2 I + D_j R)^(-1) D_j, the limit of
+    the same expression.  With ``w`` (..., 2) returns (W, c), c (..., B, 2)
+    solving (blockdiag(D) + (u x I)(u x I)^T) c = (u x I) w: with y = W w,
+    c_l = u_l D_l^(-1) y off the pole and c_j = (w - (I + R) y) / u_j on it.
+    """
+    det = _det2(D)
+    pole = det == 0.0
+    has = _pole_rows(pole, u)
+    g = np.divide(u, det, out=np.zeros(det.shape, dtype=complex), where=~pole)  # u_l / det D_l
+    R = _adj2(np.einsum("...j,...jab->...ab", u * g, D))  # sum u_l^2 adj(D_l) / det D_l
+    eye = np.eye(2)
+    Dj = np.where(has[..., None, None], np.einsum("...j,...jab->...ab", pole, D), eye)
+    M = Dj + np.einsum("...j,...j->...", pole, u * u)[..., None, None] * eye + Dj @ R
+    # |det M| this far below |M|^2 leaves the closed-form inverse as round-off
+    scale = np.max(np.abs(M), axis=(-2, -1)) ** 2
+    _raise_at(np.abs(_det2(M)) < _SINGULAR * np.maximum(scale, 1.0), "the resummation factor vanishes")
+    W = _inv2(M) @ Dj
+    if w is None:
+        return W
+    y = np.einsum("...ab,...b->...a", W, w)
+    c = g[..., None] * np.einsum("...jab,...b->...ja", _adj2(D), y)
+    c[pole] = (w - y - np.einsum("...ab,...b->...a", R, y))[has] / u[pole][:, None]
+    return W, c
+
+
+# ---------------------------------------------------------------------------
 # scalar composite: the zero-field effective quadratic symbol
 # ---------------------------------------------------------------------------
 
@@ -138,26 +238,15 @@ def zero_field_symbol(k, mu, d, shape: TorusShape, mode: str = "discrete", profi
     """Unit-lattice symbol of the quadratic kernel around zero field.
 
     Equals 1/(1 + S) with the fiber sum S(k) = sum_l u(k+l)^2 / (heat - mu),
-    the rank-one (Sherman-Morrison) reduction of the fiber inverse.  Where
-    exactly one fiber entry of (heat - mu) vanishes with nonzero averaging
-    weight the limit value 0 is exact; any other vanishing combination means
-    the subtraction point sits in the operator's spectrum.
+    the rank-one (Sherman-Morrison) reduction of the fiber inverse, computed
+    by :func:`fiber_resolvent`.  Where exactly one fiber entry of (heat - mu)
+    vanishes with nonzero averaging weight the limit value 0 is exact; any
+    other vanishing combination means the subtraction point sits in the
+    operator's spectrum and raises :class:`NumericalError`.
     """
     a, u = _fiber_terms(k, mu, d, shape, mode, profile)
-    a_flat = a.reshape(-1, a.shape[-1])
-    u_flat = u.reshape(-1, u.shape[-1])
-    out = np.empty(a_flat.shape[0], dtype=complex)
-    zero_mask = a_flat == 0.0
-    rows_with_zero = np.nonzero(zero_mask.any(axis=1))[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        S = np.where(zero_mask, 0.0, u_flat * u_flat / np.where(zero_mask, 1.0, a_flat)).sum(axis=1)
-    out[:] = 1.0 / (1.0 + S)
-    for r in rows_with_zero:
-        zi = np.nonzero(zero_mask[r])[0]
-        if len(zi) > 1 or abs(u_flat[r, zi[0]]) < 1e-12:
-            raise NumericalError(f"subtraction point mu={mu} lies in the spectrum at fiber row {r}")
-        out[r] = 0.0
-    return out.reshape(a.shape[:-1])[()] if a.ndim > 1 else complex(out[0])
+    sigma = fiber_resolvent(a, u)
+    return sigma if sigma.ndim else complex(sigma)
 
 
 def zero_field_symbol_dense(k, mu, d, shape: TorusShape, mode: str = "discrete",
@@ -230,20 +319,6 @@ def well_matrix(p, mu, d, shape: TorusShape, mode: str = "continuum"):
     return out
 
 
-def _inv2(M: np.ndarray) -> np.ndarray:
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    out = np.empty_like(M)
-    out[..., 0, 0] = M[..., 1, 1]
-    out[..., 1, 1] = M[..., 0, 0]
-    out[..., 0, 1] = -M[..., 0, 1]
-    out[..., 1, 0] = -M[..., 1, 0]
-    return out / det[..., None, None]
-
-
-def _det2(M: np.ndarray) -> np.ndarray:
-    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-
-
 def well_symbol(k, mu, d, shape: TorusShape, mode: str = "continuum",
                 profile: AveragingProfile = SHARP):
     """Unit-lattice 2x2 symbol of the effective quadratic kernel around the well.
@@ -256,44 +331,11 @@ def well_symbol(k, mu, d, shape: TorusShape, mode: str = "continuum",
     (I + u0^2 D^-1 + R)^(-1) = (D + u0^2 I + D R)^(-1) D.
     """
     k = _as_k_array(k)
-    single = k.ndim == 1
-    kk = k.reshape(-1, 4)
-    ell = block_momenta(shape)
-    p = kk[:, None, :] + ell[None, :, :]
+    p = k[..., None, :] + block_momenta(shape)
     u = averaging_symbol(p, shape, profile)
     D = well_matrix(p, mu, d, shape, mode)
-    det = _det2(D)
-    sing = det == 0.0
-    out = np.empty((kk.shape[0], 2, 2), dtype=complex)
-    eye = np.eye(2)
-    for r in range(kk.shape[0]):
-        s_idx = np.nonzero(sing[r])[0]
-        u2 = (u[r] * u[r])[:, None, None]
-        if len(s_idx) == 0:
-            B = np.sum(u2 * _inv2(D[r]), axis=0)
-            out[r] = _inv2(eye + B)
-        elif len(s_idx) == 1:
-            j = s_idx[0]
-            ok = np.ones(u.shape[1], dtype=bool)
-            ok[j] = False
-            R = np.sum(u2[ok] * _inv2(D[r][ok]), axis=0)
-            Dj = D[r, j]
-            combined = Dj + (u[r, j] ** 2) * eye + Dj @ R
-            out[r] = np.linalg.solve(combined, Dj)
-        else:
-            raise NumericalError("well operator fiber singular at more than one momentum")
-    if single:
-        return out[0]
-    return out.reshape(k.shape[:-1] + (2, 2))
-
-
-def well_feedback(k, mu, d, shape: TorusShape, mode: str = "continuum",
-                  profile: AveragingProfile = SHARP):
-    """Resummation factor (I + averaged well inverse)^(-1).
-
-    Coincides with :func:`well_symbol` by the Woodbury identity.
-    """
-    return well_symbol(k, mu, d, shape, mode, profile)
+    del p  # the kernel's temporaries reuse its memory
+    return well_resolvent(D, u)
 
 
 def well_fiber_dense(k, mu, d, shape: TorusShape, mode: str = "continuum",
@@ -470,7 +512,7 @@ def momentum_bound_report(shape: TorusShape, mu: float, d: float, mode: str = "c
     report["b"] = ratios_b
 
     # part c
-    fb = well_feedback(kgrid, mu, d, shape, mode, profile)
+    fb = well_symbol(kgrid, mu, d, shape, mode, profile)
     env_c = np.empty_like(fb, dtype=float)
     env_c[:, 0, 0] = mu / d**2 + knorm**2
     env_c[:, 0, 1] = knorm / d
@@ -491,9 +533,3 @@ def momentum_bound_report(shape: TorusShape, mu: float, d: float, mode: str = "c
         ratios_d = max(ratios_d, _entry_ratios(prod, env))
     report["d"] = ratios_d
     return report
-
-
-def well_feedback_entry_at_zero(mu: float, d: float, shape: TorusShape, mode: str = "continuum",
-                                profile: AveragingProfile = SHARP) -> np.ndarray:
-    """The 2x2 resummation factor exactly at k = 0."""
-    return well_symbol(np.zeros(4), mu, d, shape, mode, profile)

@@ -1,4 +1,5 @@
-"""Discrete torus geometry, complex lattice fields, inner products, dual lattices.
+"""Discrete torus geometry, complex lattice fields, inner products, dual lattices
+and the fiber layout.
 
 Three lattice levels share one geometry record:
 
@@ -9,6 +10,11 @@ Three lattice levels share one geometry record:
 
 Axis order everywhere is (t, x, y, z), row major.  Inner products are
 bilinear (no complex conjugation) with level weights 1, L^(-5n) and L^5.
+
+Fiber layout: fine mode m = j*N + i per axis (N the unit extent) lives in
+row i (the unit index, in [0, N)) and column j (the block index) of the
+(unit sites, blocks) fiber array of :func:`fiber_split`; its momentum is the
+symmetric fine representative of m, as listed by :func:`fiber_momenta`.
 """
 
 from __future__ import annotations
@@ -138,33 +144,6 @@ def make_shape(n: int, L: int, Nt: int, Nx: int) -> TorusShape:
     return TorusShape(n=n, L=L, Nt=Nt, Nx=Nx)
 
 
-@dataclass(frozen=True)
-class Momentum:
-    """Dual-lattice momentum, stored as integer mode numbers.
-
-    Radian components are ``2*pi*mode/extent`` per axis measured against
-    unit-lattice coordinates, reduced to the symmetric fundamental cell
-    ``(-pi/spacing, pi/spacing]`` of the owning level.
-    """
-
-    modes: tuple[int, int, int, int]
-    shape: TorusShape
-    level: str = "unit"
-
-    @property
-    def radians(self) -> np.ndarray:
-        base = self.shape.unit_extents
-        return 2.0 * np.pi * np.asarray(self.modes, dtype=float) / np.asarray(base, dtype=float)
-
-    @property
-    def k0(self) -> float:
-        return float(self.radians[0])
-
-    @property
-    def kvec(self) -> np.ndarray:
-        return self.radians[1:]
-
-
 def _symmetric_range(N: int) -> np.ndarray:
     """Mode numbers in the symmetric window (-N/2, N/2]."""
     m = np.arange(N)
@@ -182,12 +161,6 @@ def dual_modes(shape: TorusShape, level: str) -> np.ndarray:
     ranges = [_symmetric_range(e) for e in ext]
     grids = np.meshgrid(*ranges, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1).astype(int)
-
-
-def dual_lattice(shape: TorusShape, level: str) -> list[Momentum]:
-    """One Momentum per site of the level's lattice; includes 0; closed under
-    negation up to the torus identification."""
-    return [Momentum(tuple(int(v) for v in row), shape, level) for row in dual_modes(shape, level)]
 
 
 def radians_for_modes(shape: TorusShape, modes: np.ndarray) -> np.ndarray:
@@ -316,6 +289,16 @@ def field_modes(f: Field) -> np.ndarray:
     return np.fft.fftn(f.values) / f.sites
 
 
+def negate_modes(c: np.ndarray) -> np.ndarray:
+    """Coefficients at -m in FFT index order: out[m] = c[-m mod extent].
+
+    The bilinear pairing couples mode m of one field with mode -m of the
+    other.
+    """
+    axes = tuple(range(c.ndim))
+    return np.roll(np.flip(c, axis=axes), 1, axis=axes)
+
+
 def modes_to_field(shape: TorusShape, level: str, coeffs: np.ndarray) -> Field:
     """Inverse of :func:`field_modes`."""
     vals = np.fft.ifftn(coeffs) * coeffs.size
@@ -340,20 +323,23 @@ def fft_mode_grid(extents: tuple[int, int, int, int]) -> np.ndarray:
 def fiber_split(coeffs: np.ndarray, shape: TorusShape) -> np.ndarray:
     """Reorganize fine-mode coefficients into unit-momentum fibers.
 
-    Fine mode m decomposes per axis as m = j*unit_extent + i with unit mode i
-    and block index j.  Returns an array of shape (unit sites, block count)
-    where the unit index is row-major over unit modes in FFT order and the
-    block index is row-major over (j_t, j_x, j_y, j_z).
+    Fine mode m decomposes per axis as m = j*N + i with unit index
+    i in [0, N) (N the unit extent) and block index j.  Returns an array of
+    shape (unit sites, block count) + trailing axes of ``coeffs``: row r is
+    row-major over (i_t, i_x, i_y, i_z), column j row-major over
+    (j_t, j_x, j_y, j_z).  :func:`fiber_momenta` gives each entry's momentum.
     """
     Nt, Nx, _, _ = shape.unit_extents
     mt, mx = shape.mt, shape.mx
-    a = coeffs.reshape(mt, Nt, mx, Nx, mx, Nx, mx, Nx)
-    a = a.transpose(1, 3, 5, 7, 0, 2, 4, 6)
-    return a.reshape(Nt * Nx * Nx * Nx, mt * mx * mx * mx)
+    tail = coeffs.shape[4:]
+    a = coeffs.reshape((mt, Nt, mx, Nx, mx, Nx, mx, Nx) + tail)
+    a = a.transpose((1, 3, 5, 7, 0, 2, 4, 6) + tuple(range(8, 8 + len(tail))))
+    return a.reshape((Nt * Nx * Nx * Nx, mt * mx * mx * mx) + tail)
 
 
 def fiber_merge(fibers: np.ndarray, shape: TorusShape) -> np.ndarray:
-    """Inverse of :func:`fiber_split`."""
+    """Inverse of :func:`fiber_split` (same layout: row = unit index i,
+    column = block index j, fine mode j*N + i)."""
     Nt, Nx, _, _ = shape.unit_extents
     mt, mx = shape.mt, shape.mx
     a = fibers.reshape(Nt, Nx, Nx, Nx, mt, mx, mx, mx)
@@ -361,25 +347,18 @@ def fiber_merge(fibers: np.ndarray, shape: TorusShape) -> np.ndarray:
     return a.reshape(shape.fine_extents)
 
 
-def fiber_momenta(shape: TorusShape) -> tuple[np.ndarray, np.ndarray]:
-    """(unit momenta, block momenta) in radians.
+def fiber_momenta(shape: TorusShape) -> np.ndarray:
+    """Momentum in radians of every fiber entry, shape (unit sites, blocks, 4).
 
-    Unit momenta: (unit sites, 4), FFT order matching :func:`fiber_split`
-    rows.  Block momenta: (L^(5n), 4), row-major over block indices; entry j
-    is 2*pi*j per axis scaled to unit coordinates (temporal step 2*pi up to
-    2*pi*(L^(2n)-1), reduced to the fine symmetric cell on request).
+    Entry [r, j] is the symmetric fine representative of fine mode j*N + i
+    (row r = unit index i in [0, N), column j = block index), i.e. the
+    momentum of ``fiber_split(c, shape)[r, j]``: the fine mode grid is pushed
+    through the same split.
     """
-    unit_modes = fft_mode_grid(shape.unit_extents).reshape(-1, 4)
-    k_unit = radians_for_modes(shape, unit_modes)
-    mt, mx = shape.mt, shape.mx
-    jt = _symmetric_range(mt)
-    jx = _symmetric_range(mx)
-    grids = np.meshgrid(jt, jx, jx, jx, indexing="ij")
-    block = np.stack([g.ravel() for g in grids], axis=-1).astype(float)
-    return k_unit, 2.0 * np.pi * block
+    return fiber_split(radians_for_modes(shape, fft_mode_grid(shape.fine_extents)), shape)
 
 
 def block_momenta(shape: TorusShape) -> np.ndarray:
-    """The L^(5n) block momenta in radians (symmetric representatives)."""
-    _, ell = fiber_momenta(shape)
-    return ell
+    """The L^(5n) block momenta in radians (symmetric representatives),
+    row-major over block indices."""
+    return 2.0 * np.pi * fft_mode_grid((shape.mt, shape.mx, shape.mx, shape.mx)).reshape(-1, 4)

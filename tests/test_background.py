@@ -83,6 +83,20 @@ def test_solve_linear_residual_small_on_random_data():
     assert max(sol.residual) <= 1e-10
 
 
+@pytest.mark.parametrize("dims", [(1, 3, 3, 1), (1, 3, 1, 3), (1, 3, 9, 3)])
+def test_linear_solves_at_unit_extent_three(dims):
+    # unit extents >= 3 carry negative unit modes, which the fiber layout must
+    # pair with the right block momenta
+    s = make_shape(*dims)
+    rng = np.random.default_rng(7)
+    sol = solve_linear(FieldPair.random(s, "unit", rng), ModelParams(mu=0.3, v=0.01), s)
+    assert sol.converged
+    assert max(sol.residual) <= 1e-10
+    R, T = Field.random(s, "unit", rng), Field.random(s, "unit", rng)
+    for mode in ("discrete", "continuum"):
+        solve_well_linear(R, T, ModelParams(mu=2.0, v=0.5), s, mode=mode)  # raises above its residual bound
+
+
 def test_nonlinear_zero_field_one_iteration():
     sol = solve_nonlinear(FieldPair.zeros(SMALL, "unit"), ModelParams(mu=0.5, v=0.01), SMALL)
     assert sol.converged and sol.iterations == 1

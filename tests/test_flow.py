@@ -17,7 +17,7 @@ from blockspin.flow import (
 )
 from blockspin.lattice_ops import SHARP, SMOOTH, forward_difference
 from blockspin.symbols import NumericalError, zero_field_symbol
-from blockspin.torus import Field, fft_mode_grid, inner_product, make_shape, radians_for_modes
+from blockspin.torus import Field, LatticeError, fft_mode_grid, inner_product, make_shape, radians_for_modes
 
 EXT = (9, 3, 3, 3)
 
@@ -110,6 +110,9 @@ def test_step_divisibility_guard():
     act = QuadraticAction.from_heat_minus_mu((4, 4, 4, 4), mu=0.1)
     with pytest.raises(Exception):
         block_spin_step(act, 3)
+    # the fiber layout, like the dense oracle, needs equal spatial extents
+    with pytest.raises(LatticeError):
+        block_spin_step(QuadraticAction.from_heat_minus_mu((9, 3, 3, 6), mu=0.1), 3)
 
 
 def test_localize_identity_kernel():

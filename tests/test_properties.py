@@ -1,0 +1,140 @@
+"""Fast fiber paths against their dense oracles on generated shapes.
+
+Unit extents 3 and 9 carry negative unit modes.  k = 0 is always drawn: it
+is a pole row of the well symbol at every mu, and of the zero-field symbol
+and the block step at mu = 0 (heat symbol zero with live averaging weight).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockspin.flow import QuadraticAction, block_spin_step, block_spin_step_dense
+from blockspin.lattice_ops import SHARP, SMOOTH
+from blockspin.symbols import (
+    NumericalError,
+    fiber_resolvent,
+    well_fiber_dense,
+    well_resolvent,
+    well_symbol,
+    zero_field_symbol,
+    zero_field_symbol_dense,
+)
+from blockspin.torus import dual_modes, make_shape, radians_for_modes
+
+shapes = st.tuples(st.sampled_from([3, 9]), st.sampled_from([1, 3]))
+mus = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+ds = st.sampled_from([1.0, 2.5])
+profiles = st.sampled_from([SHARP, SMOOTH])
+modes = st.sampled_from(["discrete", "continuum"])
+
+
+def _unit_momenta(shape, seed, count=3):
+    """k = 0 plus a few unit momenta drawn from the whole dual lattice."""
+    k = radians_for_modes(shape, dual_modes(shape, "unit"))
+    pick = np.random.default_rng(seed).choice(len(k), size=min(count, len(k)), replace=False)
+    return np.vstack([np.zeros(4), k[pick]])
+
+
+def _close(fast, dense, tol=1e-9):
+    assert np.max(np.abs(fast - dense)) <= tol * max(1.0, float(np.max(np.abs(dense))))
+
+
+@given(shapes, mus, ds, modes, profiles, st.integers(0, 2**16))
+def test_zero_field_symbol_matches_dense(dims, mu, d, mode, profile, seed):
+    s = make_shape(1, 3, *dims)
+    k = _unit_momenta(s, seed)
+    fast = zero_field_symbol(k, mu, d, s, mode, profile)
+    dense = np.array([zero_field_symbol_dense(kk, mu, d, s, mode, profile) for kk in k])
+    _close(fast, dense)
+
+
+@given(shapes, mus, ds, modes, profiles, st.integers(0, 2**16))
+def test_well_symbol_matches_dense(dims, mu, d, mode, profile, seed):
+    s = make_shape(1, 3, *dims)
+    k = _unit_momenta(s, seed)
+    fast = well_symbol(k, mu, d, s, mode, profile)
+    dense = np.array([well_fiber_dense(kk, mu, d, s, mode, profile)[1] for kk in k])
+    _close(fast, dense)
+
+
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**16))
+def test_fiber_resolvent_matches_dense_solve(rows, blocks, seed):
+    rng = np.random.default_rng(seed)
+    a = (0.5 + np.abs(rng.standard_normal((rows, blocks)))) * np.exp(1j * rng.uniform(-3, 3, (rows, blocks)))
+    u = rng.standard_normal((rows, blocks))
+    u = np.where(np.abs(u) < 0.1, 0.1, u)
+    rhs = rng.standard_normal((rows, blocks)) + 1j * rng.standard_normal((rows, blocks))
+    poles = rng.random(rows) < 0.5
+    a[poles, rng.integers(0, blocks, size=rows)[poles]] = 0.0
+    sigma, x = fiber_resolvent(a, u, rhs)
+    for r in range(rows):
+        M = np.diag(a[r]) + np.outer(u[r], u[r])
+        _close(x[r], np.linalg.solve(M, rhs[r]))
+        _close(sigma[r], 1.0 - u[r] @ np.linalg.solve(M, u[r]))
+        assert (sigma[r] == 0.0) == poles[r]
+
+
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**16))
+def test_well_resolvent_matches_dense_solve(rows, blocks, seed):
+    rng = np.random.default_rng(seed)
+    D = rng.standard_normal((rows, blocks, 2, 2)) + 1j * rng.standard_normal((rows, blocks, 2, 2))
+    D += 3.0 * np.eye(2)
+    u = rng.uniform(0.3, 1.5, (rows, blocks)) * rng.choice([-1.0, 1.0], (rows, blocks))
+    w = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
+    poles = rng.random(rows) < 0.5
+    for r in np.nonzero(poles)[0]:
+        D[r, rng.integers(blocks)] = [[rng.standard_normal(), 0.0], [rng.standard_normal(), 0.0]]  # det exactly 0
+    W, c = well_resolvent(D, u, w)
+    for r in range(rows):
+        M = np.zeros((2 * blocks, 2 * blocks), dtype=complex)
+        for j in range(blocks):
+            M[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = D[r, j]
+        U = np.zeros((2 * blocks, 2))
+        U[0::2, 0] = U[1::2, 1] = u[r]
+        M += U @ U.T
+        _close(W[r], np.eye(2) - U.T @ np.linalg.solve(M, U))
+        _close(c[r].reshape(-1), np.linalg.solve(M, U @ w[r]))
+
+
+@settings(max_examples=6)
+@given(st.sampled_from([1, 3]), profiles, st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.none()),
+       st.integers(0, 2**16))
+def test_block_spin_step_matches_dense(nt, profile, mu, seed):
+    # mu = None draws a random symbol grid with positive real part
+    extents = (9 * nt, 3, 3, 3)
+    if mu is None:
+        rng = np.random.default_rng(seed)
+        grid = 0.2 + rng.random(extents) + 1j * rng.standard_normal(extents)
+        action = QuadraticAction(extents, grid)
+    else:
+        action = QuadraticAction.from_heat_minus_mu(extents, mu)
+    fast = block_spin_step(action, 3, profile)
+    dense = block_spin_step_dense(action, 3, profile)
+    assert fast.extents == dense.extents == (nt, 1, 1, 1)
+    _close(fast.symbol_grid, dense.symbol_grid)
+
+
+@given(st.integers(2, 6), st.data())
+def test_pole_rule_rejects_two_poles_or_dead_weight(blocks, data):
+    i, j = data.draw(st.lists(st.integers(0, blocks - 1), min_size=2, max_size=2, unique=True))
+    u = np.ones(blocks)
+    a = np.ones(blocks, dtype=complex)
+    D = np.broadcast_to(np.eye(2, dtype=complex), (blocks, 2, 2)).copy()
+    a[i] = 0.0
+    D[i] = [[1.0, 0.0], [0.0, 0.0]]
+    assert fiber_resolvent(a, u) == 0.0
+    well_resolvent(D, u)
+    dead = u.copy()
+    dead[i] = 0.0
+    with pytest.raises(NumericalError):
+        fiber_resolvent(a, dead)
+    with pytest.raises(NumericalError):
+        well_resolvent(D, dead)
+    a[j] = 0.0
+    D[j] = [[0.0, 0.0], [0.0, 3.0]]
+    with pytest.raises(NumericalError):
+        fiber_resolvent(a, u)
+    with pytest.raises(NumericalError):
+        well_resolvent(D, u)

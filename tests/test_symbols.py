@@ -21,7 +21,6 @@ from blockspin.symbols import (
     heat_symbol,
     momentum_bound_report,
     small_k_fit,
-    well_feedback_entry_at_zero,
     well_fiber_dense,
     well_matrix,
     well_symbol,
@@ -283,7 +282,7 @@ def test_well_radial_value_at_zero_momentum():
     # leading radial entry 2mu/(1+2mu), tangential flat direction
     s = make_shape(1, 3, 2, 2)
     for mu in (0.5, 2.0, 5000.0):
-        W = well_feedback_entry_at_zero(mu, 1.0 if mu < 100 else 100.0, s, "continuum")
+        W = well_symbol(np.zeros(4), mu, 1.0 if mu < 100 else 100.0, s, "continuum")
         assert W[0, 0] == pytest.approx(2 * mu / (1 + 2 * mu), rel=1e-12)
         assert abs(W[1, 1]) < 1e-12
         assert abs(W[0, 1]) < 1e-12 and abs(W[1, 0]) < 1e-12
@@ -297,7 +296,7 @@ def test_well_symbol_elliptic_regime_fit():
     fit = small_k_fit(lambda ks: well_symbol(ks, mu, d, s, "continuum")[..., 1, 1], 0.1)
     assert fit.second_order_time.real == pytest.approx(1.0 / (2 * mu / d**2), rel=0.1)
     assert fit.spatial.real == pytest.approx(1.0, rel=0.1)
-    rad = well_feedback_entry_at_zero(mu, d, s, "continuum")[0, 0]
+    rad = well_symbol(np.zeros(4), mu, d, s, "continuum")[0, 0]
     assert rad.real == pytest.approx(2 * mu / (1 + 2 * mu), rel=0.01)
 
 
@@ -329,7 +328,7 @@ def test_momentum_bound_report_finite_and_feedback_offdiagonal_zero():
     rep = momentum_bound_report(s, mu=0.5 * 4.0, d=2.0, rng=np.random.default_rng(7))
     for part in "abcd":
         assert np.isfinite(rep[part])
-    W0 = well_feedback_entry_at_zero(2.0, 2.0, s)
+    W0 = well_symbol(np.zeros(4), 2.0, 2.0, s)
     assert abs(W0[0, 1]) < 1e-14
 
 

@@ -6,15 +6,16 @@ from blockspin.torus import (
     FieldPair,
     LatticeError,
     TorusShape,
-    dual_lattice,
     dual_modes,
     fft_mode_grid,
+    fiber_merge,
     fiber_momenta,
     fiber_split,
     field_modes,
     inner_product,
     make_shape,
     modes_to_field,
+    negate_modes,
     radians_for_modes,
 )
 
@@ -85,10 +86,9 @@ def test_inner_product_level_mismatch():
 
 def test_dual_lattice_two_point():
     s = make_shape(0, 3, 2, 2)
-    moms = dual_lattice(s, "unit")
-    assert len(moms) == 16
-    comps = {abs(v) for m in moms for v in m.radians}
-    assert comps == {0.0, np.pi}
+    rad = radians_for_modes(s, dual_modes(s, "unit"))
+    assert rad.shape == (16, 4)
+    assert set(np.abs(rad).ravel()) == {0.0, np.pi}
 
 
 def test_dual_lattice_contains_zero_and_negation():
@@ -109,20 +109,19 @@ def test_fine_dual_is_unit_plus_block():
     s = make_shape(1, 3, 2, 2)
     fine = dual_modes(s, "fine")
     assert fine.shape[0] == s.sites("fine")
-    k_unit, ell = fiber_momenta(s)
-    assert ell.shape == (3**5, 4)
-    # reconstruct every fine momentum (mod fine dual) from unit + block pairs
+    p = fiber_momenta(s)
+    assert p.shape == (16, 3**5, 4)
+    # every fine momentum appears once, as its symmetric fine representative
     fine_rad = {tuple(np.round(r, 10)) for r in radians_for_modes(s, fine)}
-    combos = set()
-    per_axis_period = 2 * np.pi * np.array([s.mt, s.mx, s.mx, s.mx], dtype=float)
-    for k in k_unit:
-        p = k[None, :] + ell
-        # reduce to the fine symmetric cell
-        p = (p + per_axis_period / 2) % per_axis_period - per_axis_period / 2
-        # the cell is half-open on the positive side
-        p = np.where(np.isclose(p, -per_axis_period / 2), p + per_axis_period, p)
-        combos.update(tuple(np.round(row, 10)) for row in p)
-    assert combos == fine_rad
+    assert {tuple(np.round(r, 10)) for r in p.reshape(-1, 4)} == fine_rad
+    # row r is unit momentum r plus every block momentum 2*pi*j (mod the fine period)
+    k_unit = radians_for_modes(s, fft_mode_grid(s.unit_extents).reshape(-1, 4))
+    blocks = np.array([s.mt, s.mx, s.mx, s.mx])
+    for k, row in zip(k_unit, p):
+        steps = (row - k) / (2 * np.pi)
+        np.testing.assert_allclose(steps, np.round(steps), atol=1e-9)
+        residues = {tuple(r) for r in np.round(steps).astype(int) % blocks}
+        assert len(residues) == 3**5
 
 
 def test_plane_wave_dft_is_single_spike():
@@ -154,10 +153,7 @@ def test_parseval_bilinear_all_levels():
         direct = inner_product(a, b)
         ca, cb = field_modes(a), field_modes(b)
         # pair mode m with -m
-        cb_neg = cb.copy()
-        for axis in range(4):
-            cb_neg = np.roll(np.flip(cb_neg, axis=axis), 1, axis=axis)
-        spectral = s.weight(level) * a.sites * np.sum(ca * cb_neg)
+        spectral = s.weight(level) * a.sites * np.sum(ca * negate_modes(cb))
         assert abs(direct - spectral) / max(abs(direct), 1e-30) < 1e-10
 
 
@@ -169,22 +165,29 @@ def test_fiber_split_merge_roundtrip():
     fib = fiber_split(c, s)
     assert fib.shape == (16, 243)
     np.testing.assert_allclose(fiber_split(c, s), fib)
-    back = np.fft.ifftn(np.zeros(1))  # placeholder to keep namespace tidy
-    from blockspin.torus import fiber_merge
-
     np.testing.assert_allclose(fiber_merge(fib, s), c, atol=0)
 
 
 def test_fiber_momenta_match_split_indexing():
-    # a plane wave at fine mode (j*Nt + i) must land in fiber row i, column j
-    s = make_shape(1, 3, 2, 2)
-    f = Field.plane_wave(s, "fine", (5, 0, 0, 0))  # 5 = 2*2 + 1 -> unit mode 1, block 2
-    fib = fiber_split(field_modes(f), s)
-    k_unit, ell = fiber_momenta(s)
-    row = int(np.argmax(np.abs(fib).sum(axis=1)))
-    col = int(np.argmax(np.abs(fib[row])))
-    np.testing.assert_allclose(k_unit[row], [2 * np.pi * 1 / 2, 0, 0, 0])
-    np.testing.assert_allclose(ell[col], [2 * np.pi * 2, 0, 0, 0])
+    # a plane wave at fine mode j*N + i must land in fiber row i, column j, and
+    # fiber_momenta must give that entry the wave's own momentum; unit index
+    # i = 2 of extent 3 is the negative unit mode -1
+    cases = [
+        ((1, 3, 2, 2), (5, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)),  # 5 = 2*2 + 1
+        ((1, 3, 3, 1), (5, 0, 0, 0), (2, 0, 0, 0), (1, 0, 0, 0)),  # 5 = 1*3 + 2
+        ((1, 3, 1, 3), (0, 5, 0, 7), (0, 2, 0, 1), (0, 1, 0, 2)),
+    ]
+    for dims, modes, unit_index, block_index in cases:
+        s = make_shape(*dims)
+        f = Field.plane_wave(s, "fine", modes)
+        fib = fiber_split(field_modes(f), s)
+        row = int(np.argmax(np.abs(fib).sum(axis=1)))
+        col = int(np.argmax(np.abs(fib[row])))
+        assert row == np.ravel_multi_index(unit_index, s.unit_extents)
+        assert col == np.ravel_multi_index(block_index, (s.mt, s.mx, s.mx, s.mx))
+        ext = np.array(s.fine_extents)
+        rep = np.where(np.array(modes) > ext // 2, np.array(modes) - ext, modes)
+        np.testing.assert_allclose(fiber_momenta(s)[row, col], radians_for_modes(s, rep), atol=1e-12)
 
 
 def test_field_pair_not_conjugate_constrained():
