@@ -17,6 +17,11 @@ symbols module's pole rule: a fiber row may hold at most one exact zero of
 its diagonal, with live averaging weight; any other pattern raises
 :class:`NumericalError` naming the row.  This module builds the fiber data
 (averaging weights u, diagonals a or D) over :func:`fiber_momenta`.
+
+Two representations of the linear part, and only two: Newton's Jacobian,
+its GMRES matvec and its preconditioner use the fiber form diag(a) + u u^T;
+every residual (linear, well and nonlinear) applies the operator in direct
+space through the lattice_ops roll loops, so it checks the fiber path.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from .lattice_ops import (
@@ -140,31 +146,50 @@ def solve_constant(psi: float, params: ModelParams, tol: float = 1e-12) -> list[
 # ---------------------------------------------------------------------------
 
 class _FiberOperator:
-    """Cached fiber data for (averaging + heat - mu) at one parameter set."""
+    """Cached fiber data for (averaging + heat - mu) at one parameter set:
+    diag(a) + u u^T on every fiber row, a = a_plain (a_star for heat^T)."""
 
     def __init__(self, shape: TorusShape, params: ModelParams, profile: AveragingProfile = SHARP):
         self.shape = shape
-        self.params = params
-        self.profile = profile
         p = fiber_momenta(shape)
         self.u = averaging_symbol(p, shape, profile)
         self.a_plain = heat_symbol(p, shape, params.d, "discrete") - params.mu
         self.a_star = heat_symbol(p, shape, params.d, "discrete", transpose=True) - params.mu
 
-    def solve(self, rhs: np.ndarray, transpose: bool = False, shift: complex = 0.0) -> np.ndarray:
-        """Solve (diag(a + shift) + u u^T) x = rhs on every fiber.
+    def _on_fibers(self, values: np.ndarray, fiber_map) -> np.ndarray:
+        """Apply ``fiber_map`` to the (U, B) fiber array of a fine field's mode coefficients."""
+        fib = fiber_split(np.fft.fftn(values) / values.size, self.shape)
+        merged = fiber_merge(fiber_map(fib), self.shape)
+        return np.fft.ifftn(merged) * merged.size
 
-        rhs, result: (U, B) fiber arrays of mode coefficients.
-        """
-        a = (self.a_star if transpose else self.a_plain) + shift
-        return fiber_resolvent(a, self.u, rhs)[1]
+    def apply_field(self, values: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """(diag(a) + u u^T) c on every fiber row."""
+        a = self.a_star if transpose else self.a_plain
+        return self._on_fibers(values, lambda c: a * c + self.u * np.einsum("rj,rj->r", self.u, c)[:, None])
 
     def solve_field(self, rhs_values: np.ndarray, transpose: bool = False, shift: complex = 0.0) -> np.ndarray:
-        coeffs = np.fft.fftn(rhs_values) / rhs_values.size
-        fib = fiber_split(coeffs, self.shape)
-        sol = self.solve(fib, transpose=transpose, shift=shift)
-        merged = fiber_merge(sol, self.shape)
-        return np.fft.ifftn(merged) * merged.size
+        """Solve (diag(a + shift) + u u^T) x = rhs on every fiber row."""
+        a = (self.a_star if transpose else self.a_plain) + shift
+        return self._on_fibers(rhs_values, lambda c: fiber_resolvent(a, self.u, c)[1])
+
+
+# ---------------------------------------------------------------------------
+# the direct-space operator of the residual checks
+# ---------------------------------------------------------------------------
+
+def _direct_operator(f: Field, profile: AveragingProfile, params: ModelParams | None = None,
+                     transpose: bool = False, potential=0.0) -> np.ndarray:
+    """average_adjoint(average(f)), plus heat(f) (heat^T with ``transpose``)
+    + (potential - mu)*f given params.
+
+    Applied through the lattice_ops roll loops, independently of the fiber
+    path the solvers use, so that a residual checks the solve.
+    """
+    out = fine_average_adjoint(fine_average(f, profile), profile).values
+    if params is None:
+        return out
+    heat = apply_heat_transpose if transpose else apply_heat
+    return out + heat(f, params.d).values + (potential - params.mu) * f.values
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +197,7 @@ class _FiberOperator:
 # ---------------------------------------------------------------------------
 
 def _linear_residual(phi_vals, rhs_vals, params, shape, profile, transpose) -> float:
-    proj = fine_average_adjoint(fine_average(Field(shape, "fine", phi_vals), profile), profile).values
-    heat = (apply_heat_transpose if transpose else apply_heat)(Field(shape, "fine", phi_vals), params.d).values
-    res = proj + heat - params.mu * phi_vals - rhs_vals
+    res = _direct_operator(Field(shape, "fine", phi_vals), profile, params, transpose) - rhs_vals
     return float(np.max(np.abs(res)))
 
 
@@ -244,8 +267,8 @@ def apply_well_operator(X: Field, H: Field, params: ModelParams, shape: TorusSha
     cH = np.fft.fftn(H.values) / H.sites
     oX = D[..., 0, 0] * cX + D[..., 0, 1] * cH
     oH = D[..., 1, 0] * cX + D[..., 1, 1] * cH
-    outX = np.fft.ifftn(oX) * oX.size + fine_average_adjoint(fine_average(X, profile), profile).values
-    outH = np.fft.ifftn(oH) * oH.size + fine_average_adjoint(fine_average(H, profile), profile).values
+    outX = np.fft.ifftn(oX) * oX.size + _direct_operator(X, profile)
+    outH = np.fft.ifftn(oH) * oH.size + _direct_operator(H, profile)
     return outX, outH
 
 
@@ -264,14 +287,11 @@ def nonlinear_residuals(psi_pair: FieldPair, phi_star: np.ndarray, phi: np.ndarr
                         params: ModelParams, shape: TorusShape,
                         profile: AveragingProfile = SHARP) -> tuple[np.ndarray, np.ndarray]:
     """Direct-space values of both stationarity equations (starred, plain)."""
-    mu, v, d = params.mu, params.v, params.d
-    f_phi = Field(shape, "fine", phi)
-    f_star = Field(shape, "fine", phi_star)
-    proj = lambda f: fine_average_adjoint(fine_average(f, profile), profile).values
     rhs_plain = fine_average_adjoint(psi_pair.plain, profile).values
     rhs_star = fine_average_adjoint(psi_pair.starred, profile).values
-    res_plain = proj(f_phi) + apply_heat(f_phi, d).values + (v * phi_star * phi - mu) * phi - rhs_plain
-    res_star = proj(f_star) + apply_heat_transpose(f_star, d).values + (v * phi_star * phi - mu) * phi_star - rhs_star
+    cubic = params.v * phi_star * phi
+    res_plain = _direct_operator(Field(shape, "fine", phi), profile, params, potential=cubic) - rhs_plain
+    res_star = _direct_operator(Field(shape, "fine", phi_star), profile, params, True, cubic) - rhs_star
     return res_star, res_plain
 
 
@@ -316,36 +336,24 @@ def solve_nonlinear(psi_pair: FieldPair, params: ModelParams, shape: TorusShape,
                     profile: AveragingProfile = SHARP, field_radius: float | None = None) -> BackgroundSolution:
     """Damped Newton on the coupled stationarity system with the exact Jacobian.
 
-    Small lattices use a dense factorization of the Jacobian; larger ones a
-    matrix-free GMRES solve preconditioned by the constant-coefficient fiber
-    inverse.  Non-convergence returns the best iterate with converged=False.
+    The Jacobian's linear part is the fiber operator.  Small lattices
+    factor the dense Jacobian, assembled from one fiber-operator matrix;
+    larger ones run a matrix-free GMRES solve preconditioned by the
+    constant-coefficient fiber inverse.  Non-convergence returns the best
+    iterate with converged=False.
     """
     if field_radius is not None:
         amp = max(float(np.max(np.abs(psi_pair.plain.values))), float(np.max(np.abs(psi_pair.starred.values))))
         if amp > field_radius:
             warnings.warn(f"external field amplitude {amp:.3g} exceeds the admissible radius {field_radius:.3g}")
-    mu, v, d = params.mu, params.v, params.d
     phi_star, phi = _seed_fields(psi_pair, params, shape, profile, seed_strategy)
-    sites = shape.sites("fine")
-    dense = sites <= DENSE_SITE_LIMIT
-    fiber = None if dense else _FiberOperator(shape, params, profile)
-
-    lin_plain = lin_star = None
+    n = shape.sites("fine")
+    dense = n <= DENSE_SITE_LIMIT
+    fiber = _FiberOperator(shape, params, profile)
     if dense:
-        proj_heat = lambda f: Field(
-            shape,
-            "fine",
-            fine_average_adjoint(fine_average(f, profile), profile).values + apply_heat(f, d).values - mu * f.values,
-        )
-        proj_heat_T = lambda f: Field(
-            shape,
-            "fine",
-            fine_average_adjoint(fine_average(f, profile), profile).values
-            + apply_heat_transpose(f, d).values
-            - mu * f.values,
-        )
-        lin_plain = operator_matrix(proj_heat, shape, "fine", "fine", max_sites=DENSE_SITE_LIMIT)
-        lin_star = operator_matrix(proj_heat_T, shape, "fine", "fine", max_sites=DENSE_SITE_LIMIT)
+        lin_plain = operator_matrix(lambda f: f.with_values(fiber.apply_field(f.values)), shape, "fine", "fine",
+                                    max_sites=DENSE_SITE_LIMIT)
+        diag = np.arange(n)
 
     def res_norms(rs, rp):
         return float(np.max(np.abs(rs))), float(np.max(np.abs(rp)))
@@ -366,20 +374,23 @@ def solve_nonlinear(psi_pair: FieldPair, params: ModelParams, shape: TorusShape,
             )
         # Newton step on the stacked (delta_plain, delta_star) system
         if dense:
-            n = sites
-            J = np.zeros((2 * n, 2 * n), dtype=complex)
-            J[:n, :n] = lin_plain + np.diag((2.0 * v * phi_star * phi).reshape(-1))
-            J[:n, n:] = np.diag((v * phi * phi).reshape(-1))
-            J[n:, n:] = lin_star + np.diag((2.0 * v * phi_star * phi).reshape(-1))
-            J[n:, :n] = np.diag((v * phi_star * phi_star).reshape(-1))
+            # Fortran order lets LAPACK factor J in place: no second 2n x 2n copy
+            J = np.zeros((2 * n, 2 * n), dtype=complex, order="F")
+            J[:n, :n] = lin_plain
+            # heat^T is the bilinear transpose of heat; the averaging part is symmetric
+            J[n:, n:] = lin_plain.T
+            two_v_ss = (2.0 * params.v * phi_star * phi).reshape(-1)
+            J[diag, diag] += two_v_ss
+            J[diag + n, diag + n] += two_v_ss
+            J[diag, diag + n] = (params.v * phi * phi).reshape(-1)
+            J[diag + n, diag] = (params.v * phi_star * phi_star).reshape(-1)
             rhs = -np.concatenate([res_plain.reshape(-1), res_star.reshape(-1)])
-            delta = np.linalg.solve(J, rhs)
+            delta = la.solve(J, rhs, overwrite_a=True, check_finite=False)
+            del J  # before the next iteration allocates its own
             d_plain = delta[:n].reshape(shape.fine_extents)
             d_star = delta[n:].reshape(shape.fine_extents)
         else:
-            d_plain, d_star = _gmres_newton_step(
-                fiber, shape, profile, params, phi_star, phi, res_star, res_plain, max(ns, npl)
-            )
+            d_plain, d_star = _gmres_newton_step(fiber, shape, params, phi_star, phi, res_star, res_plain, max(ns, npl))
         # damping: halve the step while the residual grows
         step = 1.0
         base = max(ns, npl)
@@ -402,9 +413,9 @@ def solve_nonlinear(psi_pair: FieldPair, params: ModelParams, shape: TorusShape,
     )
 
 
-def _gmres_newton_step(fiber, shape, profile, params, phi_star, phi, res_star, res_plain, rnorm):
+def _gmres_newton_step(fiber, shape, params, phi_star, phi, res_star, res_plain, rnorm):
     """Matrix-free Newton direction via preconditioned GMRES."""
-    mu, v, d = params.mu, params.v, params.d
+    v = params.v
     ext = shape.fine_extents
     n = int(np.prod(ext))
     two_v_ss = 2.0 * v * phi_star * phi
@@ -414,12 +425,8 @@ def _gmres_newton_step(fiber, shape, profile, params, phi_star, phi, res_star, r
     def matvec(x):
         dp = x[:n].reshape(ext)
         ds = x[n:].reshape(ext)
-        f_dp = Field(shape, "fine", dp)
-        f_ds = Field(shape, "fine", ds)
-        proj_p = fine_average_adjoint(fine_average(f_dp, profile), profile).values
-        proj_s = fine_average_adjoint(fine_average(f_ds, profile), profile).values
-        out_p = proj_p + apply_heat(f_dp, d).values - mu * dp + two_v_ss * dp + v_pp * ds
-        out_s = proj_s + apply_heat_transpose(f_ds, d).values - mu * ds + two_v_ss * ds + v_ss * dp
+        out_p = fiber.apply_field(dp) + two_v_ss * dp + v_pp * ds
+        out_s = fiber.apply_field(ds, transpose=True) + two_v_ss * ds + v_ss * dp
         return np.concatenate([out_p.reshape(-1), out_s.reshape(-1)])
 
     shift = complex(np.mean(two_v_ss))

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice_ops import SHARP, AveragingProfile, block_average, block_average_adjoint, operator_matrix, profile_axis_symbol
+from .lattice_ops import SHARP, AveragingProfile, block_average, block_average_adjoint, block_profile_grid, operator_matrix
 from .symbols import NumericalError, fiber_resolvent
-from .torus import Field, LatticeError, TorusShape, _symmetric_range, fiber_split, make_shape, negate_modes
+from .torus import Field, LatticeError, TorusShape, fft_mode_grid, fiber_split, make_shape, negate_modes
 
 __all__ = [
     "FlowParams",
@@ -143,29 +143,17 @@ class QuadraticAction:
 
     @classmethod
     def from_heat_minus_mu(cls, extents, mu: float, d: float = 1.0) -> "QuadraticAction":
-        """Unit-lattice heat symbol minus a mass term."""
-        axes = [2.0 * np.pi * np.arange(N) / N for N in extents]
-        k0, k1, k2, k3 = np.meshgrid(*axes, indexing="ij")
-        grid = -d * (np.exp(1j * k0) - 1.0)
-        for kk in (k1, k2, k3):
-            grid = grid + (2.0 - 2.0 * np.cos(kk))
-        return cls(tuple(extents), grid - mu, provenance=f"heat-mu (mu={mu}, d={d})")
+        """Unit-lattice heat symbol minus a mass term, summed from per-axis terms."""
+        k = [2.0 * np.pi * np.arange(N) / N for N in extents]
+        grid = -d * (np.exp(1j * k[0]) - 1.0)[:, None, None, None]
+        for axis in (1, 2, 3):
+            grid = grid + (2.0 - 2.0 * np.cos(k[axis])).reshape([-1 if a == axis else 1 for a in range(4)])
+        grid -= mu  # in place: one full-grid array
+        return cls(tuple(extents), grid, provenance=f"heat-mu (mu={mu}, d={d})")
 
     def mass(self) -> complex:
         """Negative of the zero-momentum symbol value."""
         return -complex(self.symbol_grid[(0,) * len(self.extents)])
-
-
-def _profile_grid(extents, L: int, profile: AveragingProfile) -> np.ndarray:
-    """Block-averaging transform over the full input mode grid."""
-    out = np.ones(tuple(extents))
-    for axis, (N, blen) in enumerate(zip(extents, (L * L, L, L, L))):
-        theta = 2.0 * np.pi * np.arange(N) / N
-        fac = profile_axis_symbol(theta, blen, profile.exponent)
-        shape_vec = [1, 1, 1, 1]
-        shape_vec[axis] = N
-        out = out * fac.reshape(shape_vec)
-    return out
 
 
 def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile = SHARP) -> QuadraticAction:
@@ -191,7 +179,7 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     if Nt % (L * L) != 0 or Nx % L != 0 or any(e != Nx for e in action.extents[2:]):
         raise LatticeError(f"block step needs L^2 | Nt, L | Nx and cubic space, got {action.extents}, L={L}")
     out_shape = make_shape(1, L, Nt // (L * L), Nx // L)
-    q = _profile_grid(action.extents, L, profile)
+    q = block_profile_grid(action.extents, L, profile)
     q /= L
     u = fiber_split(q, out_shape)
     del q
@@ -259,15 +247,14 @@ def localize_quadratic(action: QuadraticAction, tol: float = 1e-10):
     # symbol(k) = sum_z K(z) exp(+i k z), so the kernel is the forward transform
     kernel = np.fft.fftn(grid) / grid.size
     cut = _ROUNDOFF_CUT * float(np.max(np.abs(kernel)))
-    extents = action.extents
-    reps = [np.asarray(_symmetric_range(N)) for N in extents]
+    offsets = fft_mode_grid(action.extents)
     deriv: list[dict] = [{}, {}, {}, {}]
     it = np.nditer(kernel, flags=["multi_index"])
     for val in it:
         v = complex(val)
         if abs(v) <= cut:
             continue
-        z = tuple(int(reps[a][it.multi_index[a]]) for a in range(4))
+        z = tuple(int(o) for o in offsets[it.multi_index])
         w = [0, 0, 0, 0]
         for axis in range(4):
             s = z[axis]

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .torus import Field, LatticeError, TorusShape
+from .torus import Field, LatticeError, TorusShape, fiber_split, make_shape
 
 __all__ = [
     "AveragingProfile",
@@ -34,12 +34,12 @@ __all__ = [
     "block_average_adjoint",
     "fine_average",
     "fine_average_adjoint",
-    "fine_projector",
     "to_next_scale",
     "from_next_scale",
     "operator_matrix",
     "commutator_average_norm",
     "profile_axis_symbol",
+    "block_profile_grid",
     "scale_interaction_kernel",
     "local_coupling",
 ]
@@ -208,11 +208,6 @@ def fine_average_adjoint(psi: Field, profile: AveragingProfile = SHARP) -> Field
     return Field(shape, "fine", float(shape.mt * shape.mx**3) * scat)
 
 
-def fine_projector(f: Field, profile: AveragingProfile = SHARP) -> Field:
-    """The composition adjoint(average(f)) on fine fields."""
-    return fine_average_adjoint(fine_average(f, profile), profile)
-
-
 # ---------------------------------------------------------------------------
 # parabolic scaling maps between consecutive scales
 # ---------------------------------------------------------------------------
@@ -296,16 +291,18 @@ def profile_axis_symbol(theta, box_len: int, exponent: int = 1):
     return out**exponent
 
 
-def block_profile_symbol(k, shape: TorusShape, profile: AveragingProfile = SHARP):
-    """Fourier transform of the unit-lattice block-averaging kernel at momentum k.
+def block_profile_grid(extents, L: int, profile: AveragingProfile = SHARP) -> np.ndarray:
+    """Fourier transform of the unit-lattice block-averaging kernel over a mode grid.
 
-    k: radians, array shape (..., 4).
+    Entry m (FFT index order per axis of ``extents``) is the product over
+    axes of :func:`profile_axis_symbol` at 2*pi*m/N with block lengths
+    (L^2, L, L, L), broadcast from one-dimensional factors so that only the
+    result spans the whole grid.
     """
-    k = np.asarray(k, dtype=float)
-    blens = _box_lengths(shape, "block")
-    out = np.ones(k.shape[:-1])
-    for axis in range(4):
-        out = out * profile_axis_symbol(k[..., axis], blens[axis], profile.exponent)
+    out = np.ones((1, 1, 1, 1))
+    for axis, (N, blen) in enumerate(zip(extents, (L * L, L, L, L))):
+        fac = profile_axis_symbol(2.0 * np.pi * np.arange(N) / N, blen, profile.exponent)
+        out = out * fac.reshape([N if a == axis else 1 for a in range(4)])
     return out
 
 
@@ -316,25 +313,17 @@ def commutator_average_norm(shape: TorusShape, axis: int, profile: AveragingProf
     spacing.  Per coarse momentum the operator acts on the block fiber by the
     row vector c(k) = qhat(k) * (stride-difference symbol - unit-difference
     symbol); the reported norm is the max over coarse momenta of the fiber
-    row norm.
+    row norm.  Unit momenta are grouped into coarse fibers by
+    :func:`blockspin.torus.fiber_split`, as in the block-spin step.
     """
-    from .torus import fft_mode_grid, radians_for_modes
-
-    modes = fft_mode_grid(shape.unit_extents).reshape(-1, 4)
-    k = radians_for_modes(shape, modes)
+    ext = shape.unit_extents
+    ce = shape.coarse_extents  # validates divisibility
     stride = (shape.L * shape.L, shape.L, shape.L, shape.L)[axis]
-    qhat = block_profile_symbol(k, shape, profile)
-    ka = k[:, axis]
-    diff_coarse = (np.exp(1j * ka * stride) - 1.0) / stride
-    diff_unit = np.exp(1j * ka) - 1.0
-    c = qhat * (diff_coarse - diff_unit)
-    # group unit momenta into coarse fibers: coarse momentum = unit modes mod coarse extents
-    ce = shape.coarse_extents
-    keys = [tuple(int(m % e) for m, e in zip(row, ce)) for row in modes]
-    sums: dict[tuple, float] = {}
-    for key, val in zip(keys, np.abs(c) ** 2):
-        sums[key] = sums.get(key, 0.0) + float(val)
-    return math.sqrt(max(sums.values()))
+    ka = 2.0 * np.pi * np.arange(ext[axis]) / ext[axis]
+    diff = (np.exp(1j * ka * stride) - 1.0) / stride - (np.exp(1j * ka) - 1.0)
+    c = block_profile_grid(ext, shape.L, profile) * diff.reshape([-1 if a == axis else 1 for a in range(4)])
+    fibers = fiber_split(np.abs(c) ** 2, make_shape(1, shape.L, ce[0], ce[1]))
+    return math.sqrt(float(np.max(fibers.sum(axis=1))))
 
 
 # ---------------------------------------------------------------------------

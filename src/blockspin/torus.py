@@ -157,10 +157,7 @@ def dual_modes(shape: TorusShape, level: str) -> np.ndarray:
     fine level ranges over the refined extents; the coarse level over the
     coarse extents (so its radian cell is (-pi/stride, pi/stride]).
     """
-    ext = shape.extents(level)
-    ranges = [_symmetric_range(e) for e in ext]
-    grids = np.meshgrid(*ranges, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1).astype(int)
+    return fft_mode_grid(shape.extents(level)).reshape(-1, 4)
 
 
 def radians_for_modes(shape: TorusShape, modes: np.ndarray) -> np.ndarray:

@@ -5,12 +5,14 @@ from blockspin.background import (
     BackgroundSolution,
     ModelParams,
     NumericalError,
+    _direct_operator,
     nonlinear_residuals,
     solve_constant,
     solve_linear,
     solve_nonlinear,
     solve_well_linear,
 )
+from blockspin.lattice_ops import SHARP, SMOOTH, operator_matrix
 from blockspin.torus import Field, FieldPair, LatticeError, make_shape
 
 SMALL = make_shape(1, 3, 1, 1)  # 243 fine sites: dense Newton path
@@ -95,6 +97,17 @@ def test_linear_solves_at_unit_extent_three(dims):
     R, T = Field.random(s, "unit", rng), Field.random(s, "unit", rng)
     for mode in ("discrete", "continuum"):
         solve_well_linear(R, T, ModelParams(mu=2.0, v=0.5), s, mode=mode)  # raises above its residual bound
+
+
+@pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
+def test_starred_linear_part_is_plain_transpose(profile):
+    # the dense Newton Jacobian takes its starred block as the plain block's transpose
+    params = ModelParams(mu=0.3, v=1.0, d=2.5)
+    plain, star = (
+        operator_matrix(lambda f: f.with_values(_direct_operator(f, profile, params, t)), TIMEY, "fine", "fine")
+        for t in (False, True)
+    )
+    assert np.max(np.abs(star - plain.T)) <= 1e-14
 
 
 def test_nonlinear_zero_field_one_iteration():

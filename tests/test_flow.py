@@ -16,10 +16,19 @@ from blockspin.flow import (
     run_flow,
 )
 from blockspin.lattice_ops import SHARP, SMOOTH, forward_difference
-from blockspin.symbols import NumericalError, zero_field_symbol
+from blockspin.symbols import NumericalError, heat_symbol, zero_field_symbol
 from blockspin.torus import Field, LatticeError, fft_mode_grid, inner_product, make_shape, radians_for_modes
 
 EXT = (9, 3, 3, 3)
+
+
+@pytest.mark.parametrize("ext", [(9, 3, 3, 3), (27, 9, 9, 9)])
+def test_heat_minus_mu_grid_is_heat_symbol(ext):
+    # each axis term must land on its own axis of the grid
+    shape = make_shape(0, 3, ext[0], ext[1])
+    k = radians_for_modes(shape, fft_mode_grid(ext))
+    grid = QuadraticAction.from_heat_minus_mu(ext, mu=0.3, d=2.5).symbol_grid
+    np.testing.assert_allclose(grid, heat_symbol(k, shape, 2.5, "discrete") - 0.3, rtol=0, atol=1e-12)
 
 
 def test_block_prefactor_values():

@@ -7,9 +7,10 @@ and the block step at mu = 0 (heat symbol zero with live averaging weight).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blockspin.background import ModelParams, _direct_operator, _FiberOperator
 from blockspin.flow import QuadraticAction, block_spin_step, block_spin_step_dense
 from blockspin.lattice_ops import SHARP, SMOOTH
 from blockspin.symbols import (
@@ -21,7 +22,7 @@ from blockspin.symbols import (
     zero_field_symbol,
     zero_field_symbol_dense,
 )
-from blockspin.torus import dual_modes, make_shape, radians_for_modes
+from blockspin.torus import Field, dual_modes, make_shape, radians_for_modes
 
 shapes = st.tuples(st.sampled_from([3, 9]), st.sampled_from([1, 3]))
 mus = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
@@ -138,3 +139,19 @@ def test_pole_rule_rejects_two_poles_or_dead_weight(blocks, data):
         fiber_resolvent(a, u)
     with pytest.raises(NumericalError):
         well_resolvent(D, u)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
+@settings(max_examples=6)
+@given(st.one_of(st.tuples(st.just(3), st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3])), st.just((5, 1, 1))),
+       mus, ds, st.integers(0, 2**16))
+@example((5, 1, 1), 0.0, 1.0, 0)
+def test_fiber_apply_matches_direct_operator(profile, transpose, dims, mu, d, seed):
+    # Newton's Jacobian and GMRES matvec use the fiber form; residuals the roll loops
+    L, nt, nx = dims
+    s = make_shape(1, L, nt, nx)
+    params = ModelParams(mu=mu, v=1.0, d=d)
+    f = Field.random(s, "fine", np.random.default_rng(seed))
+    fast = _FiberOperator(s, params, profile).apply_field(f.values, transpose)
+    _close(fast, _direct_operator(f, profile, params, transpose), tol=1e-12)
