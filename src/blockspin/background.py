@@ -283,12 +283,22 @@ def _well_residual(X, H, R, Theta, params, shape, mode, profile) -> float:
 # full nonlinear system
 # ---------------------------------------------------------------------------
 
+def _nonlinear_rhs(psi_pair: FieldPair, profile: AveragingProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand sides Q* psi of the stationarity equations (starred, plain)."""
+    return (fine_average_adjoint(psi_pair.starred, profile).values,
+            fine_average_adjoint(psi_pair.plain, profile).values)
+
+
 def nonlinear_residuals(psi_pair: FieldPair, phi_star: np.ndarray, phi: np.ndarray,
                         params: ModelParams, shape: TorusShape,
-                        profile: AveragingProfile = SHARP) -> tuple[np.ndarray, np.ndarray]:
-    """Direct-space values of both stationarity equations (starred, plain)."""
-    rhs_plain = fine_average_adjoint(psi_pair.plain, profile).values
-    rhs_star = fine_average_adjoint(psi_pair.starred, profile).values
+                        profile: AveragingProfile = SHARP, *,
+                        rhs: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Direct-space values of both stationarity equations (starred, plain).
+
+    ``rhs`` passes the right-hand sides (Q* psi_star, Q* psi) when the
+    caller already holds them for this psi.
+    """
+    rhs_star, rhs_plain = _nonlinear_rhs(psi_pair, profile) if rhs is None else rhs
     cubic = params.v * phi_star * phi
     res_plain = _direct_operator(Field(shape, "fine", phi), profile, params, potential=cubic) - rhs_plain
     res_star = _direct_operator(Field(shape, "fine", phi_star), profile, params, True, cubic) - rhs_star
@@ -355,12 +365,14 @@ def solve_nonlinear(psi_pair: FieldPair, params: ModelParams, shape: TorusShape,
                                     max_sites=DENSE_SITE_LIMIT)
         diag = np.arange(n)
 
+    psi_rhs = _nonlinear_rhs(psi_pair, profile)  # psi is fixed for the whole solve
+
     def res_norms(rs, rp):
         return float(np.max(np.abs(rs))), float(np.max(np.abs(rp)))
 
     best = None
     for iteration in range(1, max_iter + 1):
-        res_star, res_plain = nonlinear_residuals(psi_pair, phi_star, phi, params, shape, profile)
+        res_star, res_plain = nonlinear_residuals(psi_pair, phi_star, phi, params, shape, profile, rhs=psi_rhs)
         ns, npl = res_norms(res_star, res_plain)
         if best is None or max(ns, npl) < best[0]:
             best = (max(ns, npl), phi_star.copy(), phi.copy(), (ns, npl), iteration)
@@ -397,7 +409,7 @@ def solve_nonlinear(psi_pair: FieldPair, params: ModelParams, shape: TorusShape,
         for _ in range(12):
             cand_star = phi_star + step * d_star
             cand = phi + step * d_plain
-            rs, rp = nonlinear_residuals(psi_pair, cand_star, cand, params, shape, profile)
+            rs, rp = nonlinear_residuals(psi_pair, cand_star, cand, params, shape, profile, rhs=psi_rhs)
             if max(*res_norms(rs, rp)) < base or base <= tol:
                 break
             step *= 0.5

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .lattice_ops import SHARP, AveragingProfile, block_average, block_average_adjoint, block_profile_grid, operator_matrix
 from .symbols import NumericalError, fiber_resolvent
-from .torus import Field, LatticeError, TorusShape, fft_mode_grid, fiber_split, make_shape, negate_modes
+from .torus import Field, LatticeError, TorusShape, fiber_split, make_shape, negate_modes
 
 __all__ = [
     "FlowParams",
@@ -235,6 +235,12 @@ def localize_quadratic(action: QuadraticAction, tol: float = 1e-10):
     along a fixed axis-ordered lattice path.  Returns (scalar, kernels)
     with kernels[axis] a dict offset -> coefficient.
 
+    A displacement z contributes to K_axis at offsets (z_0, ..., z_(axis-1),
+    t, 0, ...), with +K(z) for 0 <= t < z_axis and -K(z) for z_axis <= t < 0.
+    So K_axis is, per prefix of earlier coordinates, a suffix sum (t >= 0)
+    or a negated prefix sum (t < 0) of the kernel's marginal over the later
+    axes, taken along the axis in symmetric-representative order.
+
     The split is linear in K.  Kernel entries and summed derivative
     coefficients at or below round-off relative to max|K(z)| (a small
     multiple of machine epsilon times it) are FFT noise and are dropped,
@@ -247,38 +253,41 @@ def localize_quadratic(action: QuadraticAction, tol: float = 1e-10):
     # symbol(k) = sum_z K(z) exp(+i k z), so the kernel is the forward transform
     kernel = np.fft.fftn(grid) / grid.size
     cut = _ROUNDOFF_CUT * float(np.max(np.abs(kernel)))
-    offsets = fft_mode_grid(action.extents)
-    deriv: list[dict] = [{}, {}, {}, {}]
-    it = np.nditer(kernel, flags=["multi_index"])
-    for val in it:
-        v = complex(val)
-        if abs(v) <= cut:
-            continue
-        z = tuple(int(o) for o in offsets[it.multi_index])
-        w = [0, 0, 0, 0]
-        for axis in range(4):
-            s = z[axis]
-            if s > 0:
-                for j in range(s):
-                    off = tuple(w[a] + (j if a == axis else 0) for a in range(4))
-                    deriv[axis][off] = deriv[axis].get(off, 0.0) + v
-            elif s < 0:
-                for j in range(1, -s + 1):
-                    off = tuple(w[a] - (j if a == axis else 0) for a in range(4))
-                    deriv[axis][off] = deriv[axis].get(off, 0.0) - v
-            w[axis] += s
-    kernels = [{k: c for k, c in d.items() if abs(c) > cut} for d in deriv]
+    kernel[np.abs(kernel) <= cut] = 0.0
+    # roll each axis into increasing representatives of (-N/2, N/2]: index i holds i - zero[axis]
+    zero = [(N - 1) // 2 for N in action.extents]
+    kernel = np.roll(kernel, zero, axis=(0, 1, 2, 3))
+    kernels = []
+    for axis in range(4):
+        marginal = np.moveaxis(kernel.sum(axis=tuple(range(axis + 1, 4))), axis, -1)
+        p = zero[axis]
+        # t < 0: -sum_{z <= t};  t >= 0: sum_{z > t}, exactly 0 at the top representative
+        deriv = np.moveaxis(np.concatenate([
+            -np.cumsum(marginal[..., :p], axis=-1),
+            np.cumsum(marginal[..., :p:-1], axis=-1)[..., ::-1],
+            np.zeros(marginal.shape[:-1] + (1,), dtype=complex),
+        ], axis=-1), -1, axis)
+        live = np.nonzero(np.abs(deriv) > cut)
+        offsets = np.zeros((live[0].size, 4), dtype=int)
+        offsets[:, : axis + 1] = np.stack(live, axis=1) - zero[: axis + 1]
+        kernels.append(dict(zip(map(tuple, offsets.tolist()), deriv[live].tolist())))
     if abs(scalar_c.imag) > tol * max(1.0, abs(scalar_c)):
         warnings.warn(f"localized mass has imaginary part {scalar_c.imag:.3e}")
     return scalar_c.real, kernels
 
 
 def apply_offset_kernel(kern: dict, f: Field) -> Field:
-    """(K f)(x) = sum_z K(z) f(x + z) for a sparse offset kernel."""
-    out = np.zeros_like(f.values)
-    for off, c in kern.items():
-        out += c * np.roll(f.values, tuple(-o for o in off), axis=(0, 1, 2, 3))
-    return f.with_values(out)
+    """(K f)(x) = sum_z K(z) f(x + z) for a sparse offset kernel.
+
+    Applied as one multiply by the kernel's symbol sum_z K(z) exp(+i k z)
+    on the field's FFT grid (offsets wrap around the torus).
+    """
+    ext = f.values.shape
+    grid = np.zeros(ext, dtype=complex)
+    offsets = np.array(list(kern), dtype=int).reshape(-1, 4) % ext
+    np.add.at(grid, tuple(offsets.T), np.array(list(kern.values()), dtype=complex))
+    symbol = np.fft.ifftn(grid) * grid.size
+    return f.with_values(np.fft.ifftn(np.fft.fftn(f.values) * symbol))
 
 
 def quadratic_action_form(action: QuadraticAction, psi_star: Field, psi: Field) -> complex:
@@ -292,14 +301,19 @@ def quadratic_action_form(action: QuadraticAction, psi_star: Field, psi: Field) 
 # chemical-potential renormalization
 # ---------------------------------------------------------------------------
 
-def quadratic_mass_correction(mu_in: float, L: int, extents, d: float = 1.0,
+def quadratic_mass_correction(mu_in: float, L: int, d: float = 1.0,
                               profile: AveragingProfile = SHARP) -> float:
     """Zero-momentum remainder of one step beyond the naive L^2 mass scaling.
 
-    Runs the quadratic step on the heat-minus-mass input and localizes the
-    output; the returned value is (output mass) - L^2 * (input mass).
+    The step's output at momentum K depends only on the input's fiber over
+    K.  For K = 0 that fiber is the momenta 2pi (j_t/L^2, j_x/L, j_y/L,
+    j_z/L), the whole dual lattice of the (L^2, L, L, L) torus, on every
+    torus the step accepts.  So the heat-minus-mass input is stepped on that
+    minimal torus, and the returned value is (output mass) - L^2 * (input
+    mass).
     """
-    stepped = block_spin_step(QuadraticAction.from_heat_minus_mu(extents, mu_in, d), L, profile)
+    minimal = (L * L, L, L, L)
+    stepped = block_spin_step(QuadraticAction.from_heat_minus_mu(minimal, mu_in, d), L, profile)
     out_mass = -stepped.symbol_grid[(0,) * 4].real
     return float(out_mass - L * L * mu_in)
 
@@ -334,10 +348,19 @@ def renormalize_mu(flow: FlowParams, correction, tol: float = 1e-12, max_iter: i
 
 @dataclass(frozen=True)
 class FlowStep:
+    """One scale of a :func:`run_flow` trace.
+
+    ``stop`` is None except on a trace's last row, where it says why the
+    trace ended: "max_steps", "stop_mu", or "renormalize_mu: " and the
+    solver's message when the next scale's chemical potential has no
+    self-consistent value.
+    """
+
     params: FlowParams
     well_radius: float
     well_depth_per_site: float
     classifier: str
+    stop: str | None = None
 
 
 def _classify_step(params: FlowParams, stop_mu: float) -> str:
@@ -353,21 +376,27 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
              profile: AveragingProfile = SHARP, d_schedule=None) -> list[FlowStep]:
     """Trace the running couplings across scales.
 
-    Halts after floor((2/5) log(1/v0)/log L) steps or once the chemical
-    potential reaches ``stop_mu``, whichever comes first.  With
-    ``renormalize`` the trace uses the quadratic-level fixed point per step
-    (the trial's pull-back mu/L^2 is the step input); otherwise the closed
-    form L^(2n) mu0.  The per-step quadratic correction runs on the supplied
-    desk-scale torus.
+    Halts after floor((2/5) log(1/v0)/log L) steps (or ``steps`` rows) or
+    once the chemical potential reaches ``stop_mu``, whichever comes first.
+    With ``renormalize`` the trace uses the quadratic-level fixed point per
+    step (the trial's pull-back mu/L^2 is the step input); otherwise the
+    closed form L^(2n) mu0.  The per-step correction depends only on the
+    zero-momentum fiber, so it runs on the minimal (L^2, L, L, L) torus;
+    ``shape`` sets the well geometry and must admit a block step (L^2 | Nt,
+    L | Nx), else :class:`LatticeError`.  When the next scale's fixed point
+    does not exist or its correction is not a contraction (near the
+    correction's pole at input mu = L^-2), the trace ends at the last good
+    scale.  The last row's ``stop`` records why the trace ended.
     """
     from .action import well_geometry
 
     n_last = max_steps(v0, L)
     if steps is not None:
         n_last = min(n_last, steps - 1)
-    extents = shape.unit_extents
+    Nt, Nx = shape.unit_extents[:2]
     trace: list[FlowStep] = []
     mu_running = mu0
+    stop = "max_steps"
     for n in range(n_last + 1):
         params = flow_params_at(
             n, mu0, v0, L, eps=eps, d_schedule=d_schedule,
@@ -376,10 +405,20 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
         well = well_geometry(params, shape, per_site=True)
         trace.append(FlowStep(params, well.radius, well.depth, _classify_step(params, stop_mu)))
         if params.mu >= stop_mu:
+            stop = "stop_mu"
             break
-        if n < n_last and renormalize:
-            corr = lambda m, _d=params.d: quadratic_mass_correction(m / (L * L), L, extents, d=_d, profile=profile)
-            mu_running = renormalize_mu(params, corr)
-        elif n < n_last:
+        if n == n_last:
+            break
+        if not renormalize:
             mu_running = L * L * mu_running
+            continue
+        if Nt % (L * L) != 0 or Nx % L != 0:
+            raise LatticeError(f"block step needs L^2 | Nt and L | Nx, got {shape.unit_extents}, L={L}")
+        corr = lambda m, _d=params.d: quadratic_mass_correction(m / (L * L), L, d=_d, profile=profile)
+        try:
+            mu_running = renormalize_mu(params, corr)
+        except NumericalError as exc:
+            stop = f"renormalize_mu: {exc}"
+            break
+    trace[-1] = replace(trace[-1], stop=stop)
     return trace

@@ -181,6 +181,55 @@ def test_localize_reconstruction_random_kernel():
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+def test_localize_reconstruction_dense_even_grid():
+    # every entry of the kernel is live, and even extents carry the +N/2 representative
+    rng = np.random.default_rng(2)
+    ext = (8, 4, 4, 4)
+    shape = make_shape(0, 3, 8, 4)
+    grid = rng.standard_normal(ext) + 1j * rng.standard_normal(ext)
+    act = QuadraticAction(ext, grid)
+    with pytest.warns(UserWarning):  # a random kernel's mass is complex
+        _, kernels = localize_quadratic(act)
+    psi_star = Field.random(shape, "unit", rng)
+    psi = Field.random(shape, "unit", rng)
+    lhs = quadratic_action_form(act, psi_star, psi)
+    rhs = complex(grid[0, 0, 0, 0]) * inner_product(psi_star, psi)
+    for axis in range(4):
+        rhs += inner_product(psi_star, apply_offset_kernel(kernels[axis], forward_difference(psi, axis)))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def test_localize_single_displacement_path():
+    # K = v at z = (2, -1, 0, 2) on (8, 4, 4, 4): z_3 = 2 is the +N/2 representative;
+    # the path runs +2 along t, -1 along x, +2 along z
+    ext = (8, 4, 4, 4)
+    v = 0.3 - 0.2j
+    kern = np.zeros(ext, dtype=complex)
+    kern[2, -1, 0, 2] = v
+    with pytest.warns(UserWarning):  # the mass v is complex
+        _, kernels = localize_quadratic(QuadraticAction(ext, np.fft.ifftn(kern) * kern.size))
+    want = [
+        {(0, 0, 0, 0): v, (1, 0, 0, 0): v},
+        {(2, -1, 0, 0): -v},
+        {},
+        {(2, -1, 0, 0): v, (2, -1, 0, 1): v},
+    ]
+    for axis in range(4):
+        assert set(kernels[axis]) == set(want[axis])
+        for off, c in want[axis].items():
+            assert kernels[axis][off] == pytest.approx(c, abs=1e-15)
+
+
+def test_apply_offset_kernel_matches_shifts():
+    rng = np.random.default_rng(4)
+    f = Field.random(make_shape(0, 3, 4, 3), "unit", rng)
+    # (0, 0, 0, 5) wraps onto (0, 0, 0, 2)
+    kern = {(1, 0, 0, 0): 2.0, (0, -1, 0, 0): 1j, (0, 0, 0, 5): 0.5, (-3, 1, 2, -1): -0.7 + 0.1j}
+    want = sum(c * np.roll(f.values, tuple(-o for o in off), axis=(0, 1, 2, 3)) for off, c in kern.items())
+    np.testing.assert_allclose(apply_offset_kernel(kern, f).values, want, rtol=0, atol=1e-14)
+    assert np.all(apply_offset_kernel({}, f).values == 0.0)
+
+
 def test_renormalize_mu_trivial_corrections():
     f = flow_params_at(1, 1e-5, 1e-5, 3)
     assert renormalize_mu(f, lambda mu: 0.0) == pytest.approx(9 * f.mu)
@@ -198,9 +247,46 @@ def test_quadratic_mass_correction_closed_form():
     # sharp averaging kills all nonzero block momenta at k=0, so the remainder
     # has the closed form L^4 mu^2 / (1 - L^2 mu)
     for mu in (1e-4, 1e-3, 1e-2):
-        got = quadratic_mass_correction(mu, 3, EXT)
+        got = quadratic_mass_correction(mu, 3)
         want = 81.0 * mu**2 / (1.0 - 9.0 * mu)
         assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
+@pytest.mark.parametrize("L, ext", [(3, (81, 9, 9, 9)), (3, (27, 9, 9, 9)), (5, (50, 10, 10, 10))])
+def test_mass_correction_is_full_grid_zero_mode(L, ext, profile):
+    # the output at K = 0 depends only on the K = 0 fiber, the whole (L^2, L, L, L) dual lattice
+    for mu in (1e-5, 3e-4, 1e-2, 0.05):
+        for d in (1.0, 2.5):
+            full = block_spin_step(QuadraticAction.from_heat_minus_mu(ext, mu, d), L, profile)
+            want = -full.symbol_grid[0, 0, 0, 0].real - L * L * mu
+            assert quadratic_mass_correction(mu, L, d, profile) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
+@pytest.mark.parametrize("mu0", [3.16e-5, 1e-4])
+def test_run_flow_hard_stop_records_reason(mu0, profile):
+    # near the correction's pole at input mu = L^-2 the next fixed point fails:
+    # the trace ends at the last good scale and says why
+    L, v0 = 3, 1e-5
+    trace = run_flow(mu0, v0, L, make_shape(0, 3, 81, 9), profile=profile)
+    with pytest.raises(NumericalError):  # the scale after the last row has no fixed point
+        renormalize_mu(trace[-1].params, lambda m: quadratic_mass_correction(m / L**2, L, profile=profile))
+    assert 1 <= len(trace) <= max_steps(v0, L) + 1
+    assert trace[-1].stop.startswith("renormalize_mu: ")
+    assert all(step.stop is None for step in trace[:-1])
+    mus = [step.params.mu for step in trace]
+    assert all(b > a for a, b in zip(mus, mus[1:]))
+    assert mus[-1] < L**-2
+
+
+def test_run_flow_records_regular_stop_and_guards_shape():
+    assert run_flow(1e-5, 1e-5, 3, make_shape(0, 3, 9, 3))[-1].stop == "max_steps"
+    assert run_flow(1e-5, 1e-5, 3, make_shape(0, 3, 9, 3), steps=2)[-1].stop == "max_steps"
+    assert run_flow(3e-3, 1e-6, 3, make_shape(0, 3, 9, 3), renormalize=False)[-1].stop == "stop_mu"
+    for shape in (make_shape(0, 3, 8, 3), make_shape(0, 3, 9, 2)):  # no block step on this torus
+        with pytest.raises(LatticeError):
+            run_flow(1e-5, 1e-5, 3, shape)
 
 
 def test_run_flow_row_count_and_ratios():

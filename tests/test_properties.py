@@ -100,19 +100,21 @@ def test_well_resolvent_matches_dense_solve(rows, blocks, seed):
 
 
 @settings(max_examples=6)
-@given(st.sampled_from([1, 3]), profiles, st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.none()),
+@given(st.sampled_from([(3, 1), (3, 3)]), profiles, st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.none()),
        st.integers(0, 2**16))
-def test_block_spin_step_matches_dense(nt, profile, mu, seed):
-    # mu = None draws a random symbol grid with positive real part
-    extents = (9 * nt, 3, 3, 3)
+@example((5, 1), SHARP, None, 0)  # 3125 sites, under the dense oracle's cap of 4096
+def test_block_spin_step_matches_dense(dims, profile, mu, seed):
+    # dims = (L, output time extent); mu = None draws a random symbol grid with positive real part
+    L, nt = dims
+    extents = (L * L * nt, L, L, L)
     if mu is None:
         rng = np.random.default_rng(seed)
         grid = 0.2 + rng.random(extents) + 1j * rng.standard_normal(extents)
         action = QuadraticAction(extents, grid)
     else:
         action = QuadraticAction.from_heat_minus_mu(extents, mu)
-    fast = block_spin_step(action, 3, profile)
-    dense = block_spin_step_dense(action, 3, profile)
+    fast = block_spin_step(action, L, profile)
+    dense = block_spin_step_dense(action, L, profile)
     assert fast.extents == dense.extents == (nt, 1, 1, 1)
     _close(fast.symbol_grid, dense.symbol_grid)
 
