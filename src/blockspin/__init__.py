@@ -10,7 +10,6 @@ action       action evaluation, effective potential, quadratic forms, spectra
 flow         running couplings, quadratic-level block-spin step, chemical-potential
              renormalization
 norms        tree-weighted kernel norms and Steiner lengths
-cli          batch command-line driver
 """
 
 from .torus import (

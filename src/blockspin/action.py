@@ -240,8 +240,9 @@ def fluctuation_spectrum(params: ModelParams, shape: TorusShape,
     half-plane.
     """
     p = fiber_momenta(shape)
-    u_rows = averaging_symbol(p, shape, profile)
-    a_rows = heat_symbol(p, shape, params.d, "discrete") - params.mu
+    rows = (shape.sites("unit"), -1)
+    u_rows = averaging_symbol(p, shape, profile).reshape(rows)
+    a_rows = (heat_symbol(p, shape, params.d, "discrete") - params.mu).reshape(rows)
     eigs_all = []
     sqrt_resid = 0.0
     sqrt_rhp = True

@@ -13,10 +13,12 @@ linearization around the well bottom (the 2x2 Woodbury kernel
 :func:`blockspin.symbols.well_resolvent`), and damped Newton on the full
 nonlinear system with the exact Jacobian (dense at small sizes, GMRES
 preconditioned by the rank-one kernel above).  Both kernels follow the
-symbols module's pole rule: a fiber row may hold at most one exact zero of
-its diagonal, with live averaging weight; any other pattern raises
+symbols module's pole rule: a fiber row may hold at most one zero of its
+diagonal, with live averaging weight; any other pattern raises
 :class:`NumericalError` naming the row.  This module builds the fiber data
-(averaging weights u, diagonals a or D) over :func:`fiber_momenta`.
+(averaging weights u, diagonals a or D) from the per-axis components of
+:func:`fiber_momenta`; the symbols broadcast over the fiber view and
+reshape to (unit sites, blocks) rows.
 
 Two representations of the linear part, and only two: Newton's Jacobian,
 its GMRES matvec and its preconditioner use the fiber form diag(a) + u u^T;
@@ -48,12 +50,11 @@ from .torus import (
     FieldPair,
     LatticeError,
     TorusShape,
-    fft_mode_grid,
     fiber_merge,
     fiber_momenta,
     fiber_split,
     field_modes,
-    radians_for_modes,
+    fine_momenta,
 )
 
 __all__ = [
@@ -152,9 +153,10 @@ class _FiberOperator:
     def __init__(self, shape: TorusShape, params: ModelParams, profile: AveragingProfile = SHARP):
         self.shape = shape
         p = fiber_momenta(shape)
-        self.u = averaging_symbol(p, shape, profile)
-        self.a_plain = heat_symbol(p, shape, params.d, "discrete") - params.mu
-        self.a_star = heat_symbol(p, shape, params.d, "discrete", transpose=True) - params.mu
+        rows = (shape.sites("unit"), -1)
+        self.u = averaging_symbol(p, shape, profile).reshape(rows)
+        self.a_plain = (heat_symbol(p, shape, params.d, "discrete") - params.mu).reshape(rows)
+        self.a_star = (heat_symbol(p, shape, params.d, "discrete", transpose=True) - params.mu).reshape(rows)
 
     def _on_fibers(self, values: np.ndarray, fiber_map) -> np.ndarray:
         """Apply ``fiber_map`` to the (U, B) fiber array of a fine field's mode coefficients."""
@@ -244,8 +246,9 @@ def solve_well_linear(R: Field, Theta: Field, params: ModelParams, shape: TorusS
         raise LatticeError("radial/tangential data live on the unit lattice")
     w = np.stack([field_modes(R).reshape(-1), field_modes(Theta).reshape(-1)], axis=-1)
     p = fiber_momenta(shape)
-    u = averaging_symbol(p, shape, profile)
-    D = well_matrix(p, params.mu, params.d, shape, mode)
+    rows = (shape.sites("unit"), -1)
+    u = averaging_symbol(p, shape, profile).reshape(rows)
+    D = well_matrix(p, params.mu, params.d, shape, mode).reshape(rows + (2, 2))
     _, c = well_resolvent(D, u, w)
     X_vals = np.fft.ifftn(fiber_merge(c[..., 0], shape)) * shape.sites("fine")
     H_vals = np.fft.ifftn(fiber_merge(c[..., 1], shape)) * shape.sites("fine")
@@ -260,9 +263,9 @@ def solve_well_linear(R: Field, Theta: Field, params: ModelParams, shape: TorusS
 
 def apply_well_operator(X: Field, H: Field, params: ModelParams, shape: TorusShape,
                         mode: str = "discrete", profile: AveragingProfile = SHARP) -> tuple[np.ndarray, np.ndarray]:
-    """Full-grid application of the 2x2 well operator plus averaging mass."""
-    k_all = radians_for_modes(shape, fft_mode_grid(shape.fine_extents))
-    D = well_matrix(k_all, params.mu, params.d, shape, mode)
+    """Full-grid application of the 2x2 well operator plus averaging mass,
+    over the fine mode grid (:func:`fine_momenta`), not the solve's fibers."""
+    D = well_matrix(fine_momenta(shape), params.mu, params.d, shape, mode)
     cX = np.fft.fftn(X.values) / X.sites
     cH = np.fft.fftn(H.values) / H.sites
     oX = D[..., 0, 0] * cX + D[..., 0, 1] * cH

@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice_ops import SHARP, AveragingProfile, block_average, block_average_adjoint, block_profile_grid, operator_matrix
-from .symbols import NumericalError, fiber_resolvent
-from .torus import Field, LatticeError, TorusShape, fiber_split, make_shape, negate_modes
+from .lattice_ops import SHARP, AveragingProfile, block_average, block_average_adjoint, operator_matrix
+from .symbols import NumericalError, averaging_symbol, fiber_resolvent
+from .torus import Field, LatticeError, TorusShape, fiber_momenta, fiber_split, make_shape, negate_modes
 
 __all__ = [
     "FlowParams",
@@ -159,10 +159,13 @@ class QuadraticAction:
 def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile = SHARP) -> QuadraticAction:
     """One exact quadratic-level block-spin step.
 
-    Per output momentum K the input grid's fiber over K (in the layout of
-    :func:`blockspin.torus.fiber_split`, spatial extents equal) goes through
-    :func:`blockspin.symbols.fiber_resolvent` with u = qhat/L: the new symbol
-    is L^2 / (L^2 + T), T = sum_m qhat(K+m)^2 / symbol(K+m).  One vanishing
+    The input grid is the fine lattice of out = make_shape(1, L, Nt/L^2,
+    Nx/L) (spatial extents equal).  Per output momentum K the input grid's
+    fiber over K (in the layout of :func:`blockspin.torus.fiber_split`) goes
+    through :func:`blockspin.symbols.fiber_resolvent` with u = qhat/L, qhat
+    the averaging symbol over ``fiber_momenta(out)``, already in that
+    layout: the new symbol is L^2 / (L^2 + T), T = sum_m qhat(K+m)^2 /
+    symbol(K+m).  One vanishing
     input symbol with live averaging weight is the massless limit and maps
     to 0; any other vanishing pattern makes the Gaussian degenerate and
     raises :class:`NumericalError`.
@@ -179,11 +182,10 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     if Nt % (L * L) != 0 or Nx % L != 0 or any(e != Nx for e in action.extents[2:]):
         raise LatticeError(f"block step needs L^2 | Nt, L | Nx and cubic space, got {action.extents}, L={L}")
     out_shape = make_shape(1, L, Nt // (L * L), Nx // L)
-    q = block_profile_grid(action.extents, L, profile)
-    q /= L
-    u = fiber_split(q, out_shape)
-    del q
-    sigma = fiber_resolvent(fiber_split(action.symbol_grid, out_shape), u)
+    u = averaging_symbol(fiber_momenta(out_shape), out_shape, profile)
+    u /= L
+    a = fiber_split(action.symbol_grid, out_shape)
+    sigma = fiber_resolvent(a, u.reshape(a.shape))
     return QuadraticAction(out_shape.unit_extents, sigma.reshape(out_shape.unit_extents),
                            provenance=f"step({action.provenance})")
 
@@ -311,6 +313,11 @@ def quadratic_mass_correction(mu_in: float, L: int, d: float = 1.0,
     torus the step accepts.  So the heat-minus-mass input is stepped on that
     minimal torus, and the returned value is (output mass) - L^2 * (input
     mass).
+
+    The value is L^4 mu^2 / (1 - L^2 mu) for both profiles and every d: both
+    profiles vanish at the nonzero momenta 2 pi j / L of the K = 0 fiber, so
+    only p = 0 (u = 1/L, symbol -mu) couples and d enters only decoupled
+    entries.  The step is kept so that the correction runs the chain's algebra.
     """
     minimal = (L * L, L, L, L)
     stepped = block_spin_step(QuadraticAction.from_heat_minus_mu(minimal, mu_in, d), L, profile)

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .torus import Field, LatticeError, TorusShape, fiber_split, make_shape
+from .torus import Field, LatticeError, TorusShape
 
 __all__ = [
     "AveragingProfile",
@@ -37,9 +37,7 @@ __all__ = [
     "to_next_scale",
     "from_next_scale",
     "operator_matrix",
-    "commutator_average_norm",
     "profile_axis_symbol",
-    "block_profile_grid",
     "scale_interaction_kernel",
     "local_coupling",
 ]
@@ -268,7 +266,7 @@ def operator_matrix(apply_fn, shape: TorusShape, level_in: str, level_out: str, 
 
 
 # ---------------------------------------------------------------------------
-# profile symbols and the difference/averaging commutator
+# the one-dimensional profile symbol
 # ---------------------------------------------------------------------------
 
 def profile_axis_symbol(theta, box_len: int, exponent: int = 1):
@@ -289,41 +287,6 @@ def profile_axis_symbol(theta, box_len: int, exponent: int = 1):
     series = 1.0 - (box_len * box_len - 1.0) * red * red / 24.0
     out = np.where(small, series, ratio)
     return out**exponent
-
-
-def block_profile_grid(extents, L: int, profile: AveragingProfile = SHARP) -> np.ndarray:
-    """Fourier transform of the unit-lattice block-averaging kernel over a mode grid.
-
-    Entry m (FFT index order per axis of ``extents``) is the product over
-    axes of :func:`profile_axis_symbol` at 2*pi*m/N with block lengths
-    (L^2, L, L, L), broadcast from one-dimensional factors so that only the
-    result spans the whole grid.
-    """
-    out = np.ones((1, 1, 1, 1))
-    for axis, (N, blen) in enumerate(zip(extents, (L * L, L, L, L))):
-        fac = profile_axis_symbol(2.0 * np.pi * np.arange(N) / N, blen, profile.exponent)
-        out = out * fac.reshape([N if a == axis else 1 for a in range(4)])
-    return out
-
-
-def commutator_average_norm(shape: TorusShape, axis: int, profile: AveragingProfile = SHARP) -> float:
-    """Momentum-grid estimate of the operator norm of [d_axis, block_average].
-
-    The forward difference on the coarse lattice uses the block stride as its
-    spacing.  Per coarse momentum the operator acts on the block fiber by the
-    row vector c(k) = qhat(k) * (stride-difference symbol - unit-difference
-    symbol); the reported norm is the max over coarse momenta of the fiber
-    row norm.  Unit momenta are grouped into coarse fibers by
-    :func:`blockspin.torus.fiber_split`, as in the block-spin step.
-    """
-    ext = shape.unit_extents
-    ce = shape.coarse_extents  # validates divisibility
-    stride = (shape.L * shape.L, shape.L, shape.L, shape.L)[axis]
-    ka = 2.0 * np.pi * np.arange(ext[axis]) / ext[axis]
-    diff = (np.exp(1j * ka * stride) - 1.0) / stride - (np.exp(1j * ka) - 1.0)
-    c = block_profile_grid(ext, shape.L, profile) * diff.reshape([-1 if a == axis else 1 for a in range(4)])
-    fibers = fiber_split(np.abs(c) ** 2, make_shape(1, shape.L, ce[0], ce[1]))
-    return math.sqrt(float(np.max(fibers.sum(axis=1))))
 
 
 # ---------------------------------------------------------------------------

@@ -14,20 +14,15 @@ alternative.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Kernel",
-    "SeriesNorm",
     "torus_distance",
     "steiner_tree_length",
     "kernel_norm",
-    "coupling_constant",
-    "series_norm",
-    "read_kernel",
-    "write_kernel",
 ]
 
 STEINER_TERMINAL_CAP = 6
@@ -93,22 +88,6 @@ class Kernel:
     def diagonal_value(self) -> complex:
         """Sum of entries whose arguments all coincide at one site."""
         return sum((v for k, v in self.entries.items() if len(set(k)) == 1), 0.0 + 0.0j)
-
-    def shifted_value(self, key, shift) -> complex:
-        skey = tuple(_normalize_site(tuple(c + s for c, s in zip(site, shift)), self.extents) for site in key)
-        return self.entries.get(skey, 0.0 + 0.0j)
-
-    def check_translation_invariance(self, rng: np.random.Generator, trials: int = 20, atol: float = 1e-12) -> bool:
-        """Spot-check: shifting every argument preserves stored values."""
-        keys = list(self.entries)
-        if not keys:
-            return True
-        for _ in range(trials):
-            key = keys[rng.integers(len(keys))]
-            shift = tuple(int(rng.integers(e)) for e in self.extents)
-            if abs(self.entries[key] - self.shifted_value(key, shift)) > atol:
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -252,76 +231,3 @@ def kernel_norm(V: Kernel, m: float) -> float:
             sums[pin] = sums.get(pin, 0.0) + w
         best = max(best, max(sums.values()))
     return best
-
-
-def coupling_constant(V: Kernel, m: float) -> float:
-    """Twice the kernel norm at doubled decay rate."""
-    return 2.0 * kernel_norm(V, 2.0 * m)
-
-
-@dataclass(frozen=True)
-class SeriesNorm:
-    """Weighted sum of per-degree kernel norms for a power series."""
-
-    terms: tuple  # of (r, s, norm_value)
-    kappa: float
-    kappa_prime: float
-    total: float
-
-
-def series_norm(terms, kappa: float, kappa_prime: float) -> SeriesNorm:
-    """sum of norm * kappa^r * kappa_prime^s over terms (r, s, norm).
-
-    Terms with r = s = 0 are rejected: the series carries no constant part.
-    """
-    terms = tuple((int(r), int(s), float(v)) for r, s, v in terms)
-    total = 0.0
-    for r, s, v in terms:
-        if r + s <= 0:
-            raise ValueError("series terms must have r + s > 0")
-        if r < 0 or s < 0 or v < 0:
-            raise ValueError("degrees and norms must be nonnegative")
-        total += v * kappa**r * kappa_prime**s
-    return SeriesNorm(terms=terms, kappa=kappa, kappa_prime=kappa_prime, total=total)
-
-
-# ---------------------------------------------------------------------------
-# sparse text format: one entry per line, arity*4 site coordinates + re + im
-# ---------------------------------------------------------------------------
-
-def read_kernel(path, extents, arity=None, symmetrize=True, block_factor=None) -> Kernel:
-    """Read the sparse text format.
-
-    Lines starting with ``#`` and blank lines are skipped.  Each entry line
-    holds arity*4 integers (the argument sites) followed by the real and
-    imaginary parts.  Arity is inferred from the first entry when not given.
-    Ingestion applies permutation symmetrization unless disabled.
-    """
-    entries: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tok = line.split()
-            if arity is None:
-                if (len(tok) - 2) % 4 != 0 or len(tok) < 6:
-                    raise KernelFormatError(f"line {lineno}: cannot infer arity from {len(tok)} tokens")
-                arity = (len(tok) - 2) // 4
-            if len(tok) != 4 * arity + 2:
-                raise KernelFormatError(f"line {lineno}: expected {4 * arity + 2} tokens, got {len(tok)}")
-            coords = [int(v) for v in tok[: 4 * arity]]
-            re, im = float(tok[-2]), float(tok[-1])
-            key = tuple(tuple(coords[4 * j : 4 * j + 4]) for j in range(arity))
-            entries[key] = entries.get(key, 0.0) + complex(re, im)
-    if arity is None:
-        raise KernelFormatError("empty kernel file")
-    return Kernel.from_entries(arity, extents, entries, symmetrize=symmetrize, block_factor=block_factor)
-
-
-def write_kernel(V: Kernel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# arity {V.arity} extents {' '.join(str(e) for e in V.extents)}\n")
-        for key, val in sorted(V.entries.items()):
-            coords = " ".join(str(c) for site in key for c in site)
-            fh.write(f"{coords} {val.real!r} {val.imag!r}\n")

@@ -12,11 +12,18 @@ inversions.  Two batched kernels do all of that algebra for the package:
 * :func:`well_resolvent` -- blockdiag(D) + (u x I)(u x I)^T with 2x2 blocks D
   (the well symbol and the linearized well solve).
 
-Both follow one pole rule: a row may hold at most one exact zero of its
-diagonal (a_j = 0, or det D_j = 0), and that entry must carry live averaging
-weight; the row is then solved in closed form (its scalar factor is 0).  Any
-other vanishing pattern raises :class:`NumericalError` naming the row.  Dense
-fiber inversion is kept as the oracle.
+Both follow one pole rule: a row may hold at most one zero of its diagonal
+(|a_j|, or |det D_j|, below the smallest normal float, where the reciprocal
+overflows), and that entry must carry live averaging weight; the row is then
+solved in closed form (its scalar factor is 0).  Any other vanishing pattern
+raises :class:`NumericalError` naming the row.  Dense fiber inversion is
+kept as the oracle.
+
+The elementary symbols (:func:`averaging_symbol`, :func:`heat_symbol`,
+:func:`well_matrix`) read their momenta one component at a time, in the
+per-axis format of :mod:`blockspin.torus` or from a (..., 4) array.  The
+dense oracles evaluate pointwise on the (blocks, 4) array k +
+:func:`blockspin.torus.block_momenta`.
 
 Two time-derivative modes are supported:
 
@@ -39,12 +46,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice_ops import SHARP, AveragingProfile, profile_axis_symbol
-from .torus import LatticeError, TorusShape, block_momenta
+from .torus import LatticeError, TorusShape, block_momenta, fiber_momenta, fiber_momenta_at, make_shape
 
 __all__ = [
     "NumericalError",
     "averaging_symbol",
     "heat_symbol",
+    "commutator_average_norm",
     "fiber_resolvent",
     "well_resolvent",
     "zero_field_symbol",
@@ -74,9 +82,26 @@ def _check_mode(mode: str) -> None:
 
 def _as_k_array(k) -> np.ndarray:
     arr = np.asarray(k, dtype=float)
-    if arr.shape[-1] != 4:
+    if arr.shape[-1:] != (4,):
         raise LatticeError("momenta must have 4 components")
     return arr
+
+
+def _components(p) -> tuple[np.ndarray, ...]:
+    """The four momentum components of p: a tuple of four arrays that
+    broadcast together (the format of :func:`blockspin.torus.fiber_momenta`),
+    or the last axis of a (..., 4) array."""
+    if not isinstance(p, tuple):
+        arr = _as_k_array(p)
+        return tuple(arr[..., axis] for axis in range(4))
+    if len(p) != 4:
+        raise LatticeError(f"momenta must have 4 components, got {len(p)}")
+    comps = tuple(np.asarray(c, dtype=float) for c in p)
+    try:
+        np.broadcast(*comps)
+    except ValueError as exc:
+        raise LatticeError(f"momentum components do not broadcast together: {exc}") from None
+    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -88,18 +113,19 @@ def averaging_symbol(p, shape: TorusShape, profile: AveragingProfile = SHARP):
 
     Product over axes of sin(p/2) / ((1/eps) sin(eps*p/2)) raised to the
     profile exponent; removable singularities handled by series expansion.
+    p is four per-axis components or a (..., 4) array.
     """
-    p = _as_k_array(p)
+    p = _components(p)
     blens = (shape.mt, shape.mx, shape.mx, shape.mx)
     spac = shape.spacings("fine")
-    out = np.ones(p.shape[:-1])
+    out = np.ones(())
     for axis in range(4):
-        out = out * profile_axis_symbol(spac[axis] * p[..., axis], blens[axis], profile.exponent)
+        out = out * profile_axis_symbol(spac[axis] * p[axis], blens[axis], profile.exponent)
     return out
 
 
-def _spatial_stencil(p: np.ndarray, eps_x: float) -> np.ndarray:
-    return sum((2.0 - 2.0 * np.cos(eps_x * p[..., i])) / (eps_x * eps_x) for i in (1, 2, 3))
+def _spatial_stencil(p: tuple[np.ndarray, ...], eps_x: float) -> np.ndarray:
+    return sum((2.0 - 2.0 * np.cos(eps_x * p[i])) / (eps_x * eps_x) for i in (1, 2, 3))
 
 
 def heat_symbol(p, shape: TorusShape, d: float = 1.0, mode: str = "discrete", transpose: bool = False):
@@ -107,21 +133,42 @@ def heat_symbol(p, shape: TorusShape, d: float = 1.0, mode: str = "discrete", tr
 
     ``transpose`` gives the bilinear transpose (+d * backward difference).
     In continuum mode the result is -i*d*p0 + |pvec|^2 (conjugate time part
-    when transposed).
+    when transposed).  p is four per-axis components or a (..., 4) array.
     """
     _check_mode(mode)
-    p = _as_k_array(p)
+    p = _components(p)
     if mode == "continuum":
-        sp = np.sum(p[..., 1:] ** 2, axis=-1)
-        time = 1j * d * p[..., 0] if transpose else -1j * d * p[..., 0]
+        sp = p[1] ** 2 + p[2] ** 2 + p[3] ** 2
+        time = 1j * d * p[0] if transpose else -1j * d * p[0]
         return time + sp
     et = shape.eps_t
     sp = _spatial_stencil(p, shape.eps_x)
     if transpose:
-        time = d * (1.0 - np.exp(-1j * et * p[..., 0])) / et
+        time = d * (1.0 - np.exp(-1j * et * p[0])) / et
     else:
-        time = -d * (np.exp(1j * et * p[..., 0]) - 1.0) / et
+        time = -d * (np.exp(1j * et * p[0]) - 1.0) / et
     return time + sp
+
+
+def commutator_average_norm(shape: TorusShape, axis: int, profile: AveragingProfile = SHARP) -> float:
+    """Momentum-grid estimate of the operator norm of [d_axis, block_average].
+
+    The forward difference on the coarse lattice uses the block stride as its
+    spacing.  Per coarse momentum the operator acts on the block fiber by the
+    row vector c(k) = qhat(k) * (stride-difference symbol - unit-difference
+    symbol); the reported norm is the max over coarse momenta of the fiber
+    row norm.  The unit torus is the fine lattice of the one-step shape over
+    the coarse torus, so qhat is :func:`averaging_symbol` over that shape's
+    :func:`blockspin.torus.fiber_momenta`, as in the block-spin step.
+    """
+    ce = shape.coarse_extents  # validates divisibility
+    step = make_shape(1, shape.L, ce[0], ce[1])
+    p = fiber_momenta(step)
+    stride = (shape.L * shape.L, shape.L, shape.L, shape.L)[axis]
+    ka = step.spacings("fine")[axis] * p[axis]  # radians per unit site
+    diff = (np.exp(1j * ka * stride) - 1.0) / stride - (np.exp(1j * ka) - 1.0)
+    c = averaging_symbol(p, step, profile) * diff
+    return float(np.sqrt(np.max(np.sum(np.abs(c.reshape(step.sites("unit"), -1)) ** 2, axis=1))))
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +179,8 @@ def heat_symbol(p, shape: TorusShape, d: float = 1.0, mode: str = "discrete", tr
 _DEAD_WEIGHT = 1e-12
 #: a rank-one (or 2x2) factor this close to singular is a spectrum hit
 _SINGULAR = 1e-12
+#: diagonal entries (or 2x2 determinants) below this are poles: 1/x overflows
+_POLE = np.finfo(float).tiny
 
 
 def _adj2(M: np.ndarray) -> np.ndarray:
@@ -171,14 +220,14 @@ def fiber_resolvent(a: np.ndarray, u: np.ndarray, rhs: np.ndarray | None = None)
 
     Returns sigma = (1 + sum_l u_l^2 / a_l)^(-1) per row, the rank-one
     (Sherman-Morrison) factor; with ``rhs`` returns (sigma, x) where x solves
-    (diag(a) + u u^T) x = rhs.  A pole row (a_j = 0 with live u_j) has
-    sigma = 0, u.x = rhs_j / u_j, x_l = (rhs_l - u_l u.x) / a_l off the pole
-    and x_j = (u.x - sum_{l != j} u_l x_l) / u_j.
+    (diag(a) + u u^T) x = rhs.  A pole row (a_j = 0 under the pole rule,
+    with live u_j) has sigma = 0, u.x = rhs_j / u_j, x_l = (rhs_l - u_l u.x)
+    / a_l off the pole and x_j = (u.x - sum_{l != j} u_l x_l) / u_j.
     """
-    pole = a == 0.0
+    pole = np.abs(a) < _POLE
     has = _pole_rows(pole, u)
     inv_a = np.divide(1.0, a, out=np.zeros(a.shape, dtype=complex), where=~pole)
-    one_s = 1.0 + np.einsum("...j,...j->...", u * u, inv_a)
+    one_s = 1.0 + np.einsum("...j,...j,...j->...", u, u, inv_a)  # no u^2 temporary
     _raise_at((np.abs(one_s) < _SINGULAR) & ~has, "the resummation factor vanishes")
     sigma = np.divide(1.0, one_s, out=np.zeros_like(one_s), where=~has)
     if rhs is None:
@@ -201,7 +250,7 @@ def well_resolvent(D: np.ndarray, u: np.ndarray, w: np.ndarray | None = None):
     c_l = u_l D_l^(-1) y off the pole and c_j = (w - (I + R) y) / u_j on it.
     """
     det = _det2(D)
-    pole = det == 0.0
+    pole = np.abs(det) < _POLE
     has = _pole_rows(pole, u)
     g = np.divide(u, det, out=np.zeros(det.shape, dtype=complex), where=~pole)  # u_l / det D_l
     R = _adj2(np.einsum("...j,...jab->...ab", u * g, D))  # sum u_l^2 adj(D_l) / det D_l
@@ -224,14 +273,22 @@ def well_resolvent(D: np.ndarray, u: np.ndarray, w: np.ndarray | None = None):
 # scalar composite: the zero-field effective quadratic symbol
 # ---------------------------------------------------------------------------
 
-def _fiber_terms(k, mu, d, shape, mode, profile, transpose=False):
-    """Per-fiber arrays (a, u) with a = heat(k+l) - mu and u the averaging FT."""
+#: fiber entries per batch of momenta: the temporaries stay at a few MB
+_BATCH_ENTRIES = 1 << 14
+
+
+def _in_batches(k, shape: TorusShape, rows):
+    """rows(kb) over batches kb (n, 4) of the momenta k (..., 4), stacked back to k's shape."""
     k = _as_k_array(k)
-    ell = block_momenta(shape)
-    p = k[..., None, :] + ell  # (..., B, 4)
-    u = averaging_symbol(p, shape, profile)
-    a = heat_symbol(p, shape, d, mode, transpose=transpose) - mu
-    return a, u
+    flat = k.reshape(-1, 4)
+    step = max(1, _BATCH_ENTRIES // (shape.mt * shape.mx**3))
+    out = np.concatenate([rows(flat[i : i + step]) for i in range(0, max(len(flat), 1), step)])
+    return out.reshape(k.shape[:-1] + out.shape[1:])
+
+
+def _fiber_terms(p, mu, d, shape, mode, profile):
+    """Fiber arrays (a, u) at momenta p: a = heat(p) - mu, u the averaging FT."""
+    return heat_symbol(p, shape, d, mode) - mu, averaging_symbol(p, shape, profile)
 
 
 def zero_field_symbol(k, mu, d, shape: TorusShape, mode: str = "discrete", profile: AveragingProfile = SHARP):
@@ -244,8 +301,11 @@ def zero_field_symbol(k, mu, d, shape: TorusShape, mode: str = "discrete", profi
     other vanishing combination means the subtraction point sits in the
     operator's spectrum and raises :class:`NumericalError`.
     """
-    a, u = _fiber_terms(k, mu, d, shape, mode, profile)
-    sigma = fiber_resolvent(a, u)
+    def rows(kb):
+        a, u = _fiber_terms(fiber_momenta_at(kb, shape), mu, d, shape, mode, profile)
+        return fiber_resolvent(a.reshape(len(kb), -1), u.reshape(len(kb), -1))
+
+    sigma = _in_batches(k, shape, rows)
     return sigma if sigma.ndim else complex(sigma)
 
 
@@ -255,10 +315,10 @@ def zero_field_symbol_dense(k, mu, d, shape: TorusShape, mode: str = "discrete",
 
     Fiber indices with (numerically) vanishing averaging weight decouple from
     the rank-one part exactly; the remaining block diag(a) + u u^T is
-    inverted densely.  Single momenta only.
+    inverted densely.  Single momenta only; evaluated pointwise on the
+    (blocks, 4) momenta k + :func:`blockspin.torus.block_momenta`.
     """
-    a, u = _fiber_terms(np.asarray(k, float).reshape(4), mu, d, shape, mode, profile)
-    a, u = a.reshape(-1), u.reshape(-1)
+    a, u = _fiber_terms(np.asarray(k, float).reshape(4) + block_momenta(shape), mu, d, shape, mode, profile)
     coupled = np.abs(u) > 1e-12
     ac, uc = a[coupled], u[coupled]
     if ac.size > cap:
@@ -279,8 +339,7 @@ def delta_identity_check(k, shape: TorusShape, d: float = 1.0, mode: str = "disc
     vanishes there).
     """
     kk = np.asarray(k, dtype=float).reshape(4)
-    a, u = _fiber_terms(kk, 0.0, d, shape, mode, profile)
-    a, u = a.reshape(-1), u.reshape(-1)
+    a, u = _fiber_terms(kk + block_momenta(shape), 0.0, d, shape, mode, profile)
     if np.any(a == 0.0):
         raise NumericalError("excluded point: the heat symbol vanishes somewhere on this fiber (k = 0)")
     A = complex(np.sum(u * u / a))
@@ -298,20 +357,21 @@ def well_matrix(p, mu, d, shape: TorusShape, mode: str = "continuum"):
 
     continuum: [[2mu + |pvec|^2, d*p0], [-d*p0, |pvec|^2]].
     discrete: spatial stencil plus the symmetrized time-difference symbols.
-    Shape (..., 2, 2).
+    p is four per-axis components or a (..., 4) array; shape (..., 2, 2)
+    with ... the broadcast shape of the components.
     """
     _check_mode(mode)
-    p = _as_k_array(p)
-    out = np.zeros(p.shape[:-1] + (2, 2), dtype=complex)
+    p = _components(p)
+    out = np.zeros(np.broadcast(*p).shape + (2, 2), dtype=complex)
     if mode == "continuum":
-        sp = np.sum(p[..., 1:] ** 2, axis=-1)
-        off = d * p[..., 0]
+        sp = p[1] ** 2 + p[2] ** 2 + p[3] ** 2
+        off = d * p[0]
         extra = 0.0
     else:
         et = shape.eps_t
         sp = _spatial_stencil(p, shape.eps_x)
-        off = d * np.sin(et * p[..., 0]) / et
-        extra = (2.0 * d / et) * np.sin(0.5 * et * p[..., 0]) ** 2
+        off = d * np.sin(et * p[0]) / et
+        extra = (2.0 * d / et) * np.sin(0.5 * et * p[0]) ** 2
     out[..., 0, 0] = 2.0 * mu + sp + extra
     out[..., 0, 1] = off
     out[..., 1, 0] = -off
@@ -330,12 +390,12 @@ def well_symbol(k, mu, d, shape: TorusShape, mode: str = "continuum",
     p = 0 is absorbed by the reformulation
     (I + u0^2 D^-1 + R)^(-1) = (D + u0^2 I + D R)^(-1) D.
     """
-    k = _as_k_array(k)
-    p = k[..., None, :] + block_momenta(shape)
-    u = averaging_symbol(p, shape, profile)
-    D = well_matrix(p, mu, d, shape, mode)
-    del p  # the kernel's temporaries reuse its memory
-    return well_resolvent(D, u)
+    def rows(kb):
+        p = fiber_momenta_at(kb, shape)
+        u = averaging_symbol(p, shape, profile).reshape(len(kb), -1)
+        return well_resolvent(well_matrix(p, mu, d, shape, mode).reshape(u.shape + (2, 2)), u)
+
+    return _in_batches(k, shape, rows)
 
 
 def well_fiber_dense(k, mu, d, shape: TorusShape, mode: str = "continuum",
@@ -344,10 +404,9 @@ def well_fiber_dense(k, mu, d, shape: TorusShape, mode: str = "continuum",
     averaged inverse.
 
     Returns (fiber matrix, 2x2 averaged-inverse symbol I - Q box^-1 Q*).
+    Evaluated pointwise on the (blocks, 4) momenta k + block momenta.
     """
-    kk = np.asarray(k, dtype=float).reshape(4)
-    ell = block_momenta(shape)
-    p = kk[None, :] + ell
+    p = np.asarray(k, dtype=float).reshape(4) + block_momenta(shape)
     u = averaging_symbol(p, shape, profile)
     D = well_matrix(p, mu, d, shape, mode)
     coupled = np.abs(u) > 1e-12

@@ -14,13 +14,19 @@ bilinear (no complex conjugation) with level weights 1, L^(-5n) and L^5.
 Fiber layout: fine mode m = j*N + i per axis (N the unit extent) lives in
 row i (the unit index, in [0, N)) and column j (the block index) of the
 (unit sites, blocks) fiber array of :func:`fiber_split`; its momentum is the
-symmetric fine representative of m, as listed by :func:`fiber_momenta`.
+symmetric fine representative of m.
+
+Momenta are passed as four per-axis components that broadcast together
+(:func:`fiber_momenta`, :func:`fiber_momenta_at`, :func:`fine_momenta`),
+never as a stacked (..., blocks, 4) array: every fiber symbol is a product
+or sum of one-dimensional factors, each evaluated once per distinct angle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -344,15 +350,58 @@ def fiber_merge(fibers: np.ndarray, shape: TorusShape) -> np.ndarray:
     return a.reshape(shape.fine_extents)
 
 
-def fiber_momenta(shape: TorusShape) -> np.ndarray:
-    """Momentum in radians of every fiber entry, shape (unit sites, blocks, 4).
+def _axis_momenta(shape: TorusShape) -> tuple[np.ndarray, np.ndarray]:
+    """Fine momenta in radians of the time axis and of every spatial axis:
+    2*pi*m/N over the symmetric fine representatives m in FFT order."""
+    return tuple(2.0 * np.pi * _symmetric_range(M) / N for M, N in zip(shape.fine_extents[:2], shape.unit_extents[:2]))
 
-    Entry [r, j] is the symmetric fine representative of fine mode j*N + i
-    (row r = unit index i in [0, N), column j = block index), i.e. the
-    momentum of ``fiber_split(c, shape)[r, j]``: the fine mode grid is pushed
-    through the same split.
+
+def fine_momenta(shape: TorusShape) -> tuple[np.ndarray, ...]:
+    """Fine-mode momenta in radians as four per-axis components.
+
+    Component a holds the symmetric fine representatives of axis a in FFT
+    order (2*pi*m/N, N the unit extent) along axis a and extent 1 elsewhere,
+    so the four broadcast over the fine mode grid without materializing it.
     """
-    return fiber_split(radians_for_modes(shape, fft_mode_grid(shape.fine_extents)), shape)
+    t, x = _axis_momenta(shape)
+    return t.reshape(-1, 1, 1, 1), x.reshape(1, -1, 1, 1), x.reshape(1, 1, -1, 1), x.reshape(1, 1, 1, -1)
+
+
+@lru_cache(maxsize=64)
+def fiber_momenta(shape: TorusShape) -> tuple[np.ndarray, ...]:
+    """Momentum in radians of every fiber entry, as four per-axis components.
+
+    The fine momenta pushed through the split of :func:`fiber_split` axis by
+    axis: component a holds the symmetric fine representative of fine mode
+    j*N + i (unit index i in [0, N), block index j) at unit axis a and block
+    axis a of the (Nt, Nx, Nx, Nx, mt, mx, mx, mx) view, extent 1 elsewhere.
+    A symbol evaluated on the components broadcasts to that view, which
+    reshapes to the (unit sites, blocks) fiber array at no cost.  Cached per
+    shape, so the components are read-only.
+    """
+    # contiguous (N, m) tables [i, j], so that symbols broadcast into C order
+    t, x = (np.ascontiguousarray(c.reshape(-1, N).T) for c, N in zip(_axis_momenta(shape), shape.unit_extents))
+    t.flags.writeable = x.flags.writeable = False
+    (Nt, mt), (Nx, mx) = t.shape, x.shape
+    return (t.reshape(Nt, 1, 1, 1, mt, 1, 1, 1), x.reshape(1, Nx, 1, 1, 1, mx, 1, 1),
+            x.reshape(1, 1, Nx, 1, 1, 1, mx, 1), x.reshape(1, 1, 1, Nx, 1, 1, 1, mx))
+
+
+def fiber_momenta_at(k, shape: TorusShape) -> tuple[np.ndarray, ...]:
+    """The fibers k + :func:`block_momenta` over unit momenta k (..., 4), as
+    four per-axis components.
+
+    Component a is k[..., a] plus the block momenta of axis a along block
+    axis a of (..., mt, mx, mx, mx); a symbol evaluated on the components
+    reshapes to (..., blocks), columns row-major as in :func:`block_momenta`.
+    """
+    k = np.asarray(k, dtype=float)
+    if k.shape[-1:] != (4,):
+        raise LatticeError("momenta must have 4 components")
+    k = k[..., None, None, None, None, :]
+    t, x = (2.0 * np.pi * _symmetric_range(m) for m in (shape.mt, shape.mx))
+    return (k[..., 0] + t.reshape(-1, 1, 1, 1), k[..., 1] + x.reshape(-1, 1, 1),
+            k[..., 2] + x.reshape(-1, 1), k[..., 3] + x)
 
 
 def block_momenta(shape: TorusShape) -> np.ndarray:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -244,12 +246,13 @@ def test_renormalize_mu_flags_non_contraction():
 
 
 def test_quadratic_mass_correction_closed_form():
-    # sharp averaging kills all nonzero block momenta at k=0, so the remainder
-    # has the closed form L^4 mu^2 / (1 - L^2 mu)
-    for mu in (1e-4, 1e-3, 1e-2):
-        got = quadratic_mass_correction(mu, 3)
-        want = 81.0 * mu**2 / (1.0 - 9.0 * mu)
-        assert got == pytest.approx(want, rel=1e-10)
+    # both profiles kill all nonzero block momenta at k=0, so the remainder
+    # has the closed form L^4 mu^2 / (1 - L^2 mu) whatever d
+    for profile, L, d in itertools.product((SHARP, SMOOTH), (3, 5), (1.0, 2.5)):
+        for mu in (1e-4, 1e-3, 1e-2):
+            got = quadratic_mass_correction(mu, L, d, profile)
+            want = L**4 * mu**2 / (1.0 - L * L * mu)
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])

@@ -9,7 +9,6 @@ from blockspin.lattice_ops import (
     backward_difference,
     block_average,
     block_average_adjoint,
-    commutator_average_norm,
     fine_average,
     fine_average_adjoint,
     forward_difference,
@@ -30,7 +29,7 @@ from blockspin.torus import (
     inner_product,
     make_shape,
 )
-from blockspin.symbols import averaging_symbol
+from blockspin.symbols import averaging_symbol, commutator_average_norm
 
 
 def test_forward_difference_kills_constants():
@@ -178,7 +177,8 @@ def test_fine_average_momentum_action_matches_symbol():
     out = fine_average(f, SHARP)
     out_modes = field_modes(out).reshape(-1)
     fib = fiber_split(field_modes(f), s)
-    expect = np.sum(averaging_symbol(fiber_momenta(s), s, SHARP) * fib, axis=1)
+    p = np.stack(np.broadcast_arrays(*fiber_momenta(s)), axis=-1).reshape(s.sites("unit"), -1, 4)
+    expect = np.sum(averaging_symbol(p, s, SHARP) * fib, axis=1)
     np.testing.assert_allclose(out_modes, expect, atol=1e-10)
 
 
@@ -226,6 +226,18 @@ def test_commutator_smaller_for_smooth_profile():
             sharp = commutator_average_norm(s, axis, SHARP)
             smooth = commutator_average_norm(s, axis, SMOOTH)
             assert smooth < sharp
+
+
+def test_commutator_norm_on_a_wider_coarse_torus():
+    # at (9, 3) the coarse torus is one site and both norms are round-off;
+    # on (18, 6) they are not.  Reference values from the direct mode-grid
+    # transform over the unit torus, before the fiber-layout evaluation.
+    want = {SHARP: (0.6285393610547102, 0.9428090415820656), SMOOTH: (0.05740467984504484, 0.16433447606992582)}
+    for n in (0, 1):
+        s = make_shape(n, 3, 18, 6)
+        for profile, (time, space) in want.items():
+            got = [commutator_average_norm(s, axis, profile) for axis in range(4)]
+            np.testing.assert_allclose(got, [time, space, space, space], rtol=1e-13)
 
 
 def test_operator_matrix_matches_apply():

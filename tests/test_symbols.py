@@ -17,17 +17,19 @@ from blockspin.symbols import (
     averaging_symbol,
     classify_regime,
     delta_identity_check,
+    fiber_resolvent,
     fit_window_momenta,
     heat_symbol,
     momentum_bound_report,
     small_k_fit,
     well_fiber_dense,
     well_matrix,
+    well_resolvent,
     well_symbol,
     zero_field_symbol,
     zero_field_symbol_dense,
 )
-from blockspin.torus import Field, block_momenta, make_shape
+from blockspin.torus import Field, LatticeError, block_momenta, fiber_momenta, fiber_momenta_at, make_shape
 
 
 def direct_profile_transform(p, shape, profile):
@@ -352,3 +354,61 @@ def test_fit_window_momenta_symmetric():
     asset = {tuple(np.round(r, 12)) for r in pts}
     for r in pts:
         assert tuple(np.round(-r, 12)) in asset
+
+
+def _stacked(components):
+    """The (..., 4) array the per-axis components stand for."""
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
+
+
+@pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
+@pytest.mark.parametrize("L", [3, 5])
+@pytest.mark.parametrize("dims", [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3)])
+def test_per_axis_components_match_stacked_momenta(dims, L, profile):
+    # every fast path passes four per-axis components; the same symbols on the
+    # materialized (..., 4) array must agree bit for bit
+    s = make_shape(1, L, *dims)
+    k = np.vstack([np.zeros(4), np.random.default_rng(L * 10 + dims[0]).uniform(-7.0, 7.0, (3, 4))])
+    for comps in (fiber_momenta(s), fiber_momenta_at(k, s)):
+        p = _stacked(comps)
+        u = averaging_symbol(comps, s, profile)
+        assert u.flags.c_contiguous  # so the fiber rows are a reshape, not a copy
+        assert np.array_equal(u, averaging_symbol(p, s, profile))
+        for mode in ("discrete", "continuum"):
+            for transpose in (False, True):
+                assert np.array_equal(heat_symbol(comps, s, 2.5, mode, transpose), heat_symbol(p, s, 2.5, mode, transpose))
+            assert np.array_equal(well_matrix(comps, 0.3, 2.5, s, mode), well_matrix(p, 0.3, 2.5, s, mode))
+    # arbitrary k: the fibers are k + block_momenta, columns in its row order
+    p = _stacked(fiber_momenta_at(k, s)).reshape(len(k), -1, 4)
+    assert np.array_equal(p, k[:, None, :] + block_momenta(s))
+
+
+def test_symbols_reject_malformed_momenta():
+    s = make_shape(1, 3, 1, 1)
+    bad = [np.zeros((5, 3)), (np.zeros(2), np.zeros(2), np.zeros(2)), (np.zeros(2), np.zeros(3), 0.0, 0.0)]
+    for p in bad:
+        for evaluate in (lambda p: averaging_symbol(p, s), lambda p: heat_symbol(p, s), lambda p: well_matrix(p, 0.1, 1.0, s)):
+            with pytest.raises(LatticeError):
+                evaluate(p)
+    with pytest.raises(LatticeError):
+        fiber_momenta_at(np.zeros((2, 3)), s)
+
+
+def test_subnormal_diagonal_is_a_pole():
+    # 1/a overflows below the smallest normal float; such an entry is solved as a pole
+    tiny = 2.2250738585e-313
+    a = np.array([[-tiny + 0j, 2.0, 3.0]])
+    u = np.array([[1.0, 0.5, 0.0]])
+    rhs = np.array([[1.0, 2.0, 3.0 + 1j]])
+    sigma, x = fiber_resolvent(a, u, rhs)
+    M = np.diag(a[0]) + np.outer(u[0], u[0])
+    assert sigma[0] == 0.0
+    np.testing.assert_allclose(M @ x[0], rhs[0], atol=1e-14)
+    D = np.array([[[[tiny, 0.0], [0.0, 1.0]], [[2.0, 0.5], [-0.5, 1.0]]]], dtype=complex)
+    uw = np.array([[1.0, 0.5]])
+    W, c = well_resolvent(D, uw, np.array([[1.0, -2.0]]))
+    M = np.zeros((4, 4), dtype=complex)
+    M[:2, :2], M[2:, 2:] = D[0]
+    U = np.kron(uw[0][:, None], np.eye(2))
+    M += U @ U.T
+    np.testing.assert_allclose(M @ c[0].reshape(-1), U @ np.array([1.0, -2.0]), atol=1e-14)

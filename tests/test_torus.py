@@ -109,7 +109,7 @@ def test_fine_dual_is_unit_plus_block():
     s = make_shape(1, 3, 2, 2)
     fine = dual_modes(s, "fine")
     assert fine.shape[0] == s.sites("fine")
-    p = fiber_momenta(s)
+    p = np.stack(np.broadcast_arrays(*fiber_momenta(s)), axis=-1).reshape(s.sites("unit"), -1, 4)
     assert p.shape == (16, 3**5, 4)
     # every fine momentum appears once, as its symmetric fine representative
     fine_rad = {tuple(np.round(r, 10)) for r in radians_for_modes(s, fine)}
@@ -179,6 +179,7 @@ def test_fiber_momenta_match_split_indexing():
     ]
     for dims, modes, unit_index, block_index in cases:
         s = make_shape(*dims)
+        p = np.stack(np.broadcast_arrays(*fiber_momenta(s)), axis=-1).reshape(s.sites("unit"), -1, 4)
         f = Field.plane_wave(s, "fine", modes)
         fib = fiber_split(field_modes(f), s)
         row = int(np.argmax(np.abs(fib).sum(axis=1)))
@@ -187,7 +188,7 @@ def test_fiber_momenta_match_split_indexing():
         assert col == np.ravel_multi_index(block_index, (s.mt, s.mx, s.mx, s.mx))
         ext = np.array(s.fine_extents)
         rep = np.where(np.array(modes) > ext // 2, np.array(modes) - ext, modes)
-        np.testing.assert_allclose(fiber_momenta(s)[row, col], radians_for_modes(s, rep), atol=1e-12)
+        np.testing.assert_allclose(p[row, col], radians_for_modes(s, rep), atol=1e-12)
 
 
 def test_field_pair_not_conjugate_constrained():
