@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice_ops import SHARP, AveragingProfile, block_average, block_average_adjoint, operator_matrix
-from .symbols import NumericalError, averaging_symbol, fiber_resolvent
+from .symbols import NumericalError, _row_batches, averaging_symbol, fiber_resolvent
 from .torus import Field, LatticeError, TorusShape, fiber_momenta, fiber_split, make_shape, negate_modes
 
 __all__ = [
@@ -168,7 +168,13 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     symbol(K+m).  One vanishing
     input symbol with live averaging weight is the massless limit and maps
     to 0; any other vanishing pattern makes the Gaussian degenerate and
-    raises :class:`NumericalError`.
+    raises :class:`NumericalError` naming the fiber row, as one unbatched
+    resolvent call would.
+
+    The fibers stream in slabs of whole output time rows, as many as fit in
+    ``symbols._BATCH_ENTRIES`` fiber entries but at least one: each slab is
+    split out of the grid, weighted and resolved on its own, so no full-grid
+    fiber copy, weight array or reciprocal is ever allocated.
 
     The block-spin weight is a/L^2 with a = 1, so one step of the heat
     action gives the scale-1 kernel (1 + S)^-1 of
@@ -182,10 +188,19 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     if Nt % (L * L) != 0 or Nx % L != 0 or any(e != Nx for e in action.extents[2:]):
         raise LatticeError(f"block step needs L^2 | Nt, L | Nx and cubic space, got {action.extents}, L={L}")
     out_shape = make_shape(1, L, Nt // (L * L), Nx // L)
-    u = averaging_symbol(fiber_momenta(out_shape), out_shape, profile)
-    u /= L
-    a = fiber_split(action.symbol_grid, out_shape)
-    sigma = fiber_resolvent(a, u.reshape(a.shape))
+
+    # the last slab's fibers and weights, overwritten by the next slab of that size: fresh
+    # arrays per slab go back to the OS when freed, and every slab faults its pages in again
+    a = u = None
+
+    def slab(time_rows: slice) -> np.ndarray:
+        nonlocal a, u
+        a = fiber_split(action.symbol_grid, out_shape, time_rows, buffer=a)
+        u = averaging_symbol(fiber_momenta(out_shape, time_rows), out_shape, profile, buffer=u)
+        u /= L
+        return fiber_resolvent(a, u.reshape(a.shape))
+
+    sigma = _row_batches(out_shape.Nt, action.symbol_grid.size // out_shape.Nt, slab)
     return QuadraticAction(out_shape.unit_extents, sigma.reshape(out_shape.unit_extents),
                            provenance=f"step({action.provenance})")
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice_ops import SHARP, AveragingProfile, profile_axis_symbol
-from .torus import LatticeError, TorusShape, block_momenta, fiber_momenta, fiber_momenta_at, make_shape
+from .torus import LatticeError, TorusShape, _fits, block_momenta, fiber_momenta, fiber_momenta_at, make_shape
 
 __all__ = [
     "NumericalError",
@@ -72,7 +72,15 @@ MODES = ("discrete", "continuum")
 
 
 class NumericalError(RuntimeError):
-    """Singular resolvent, degenerate fiber, or failed iteration."""
+    """Singular resolvent, degenerate fiber, or failed iteration.
+
+    A fiber kernel's error also names the singular ``row`` (an index tuple)
+    and ``why`` it is singular; both are None on other errors.
+    """
+
+    def __init__(self, message: str, row: tuple[int, ...] | None = None, why: str | None = None):
+        super().__init__(message)
+        self.row, self.why = row, why
 
 
 def _check_mode(mode: str) -> None:
@@ -108,20 +116,26 @@ def _components(p) -> tuple[np.ndarray, ...]:
 # elementary symbols
 # ---------------------------------------------------------------------------
 
-def averaging_symbol(p, shape: TorusShape, profile: AveragingProfile = SHARP):
+def averaging_symbol(p, shape: TorusShape, profile: AveragingProfile = SHARP, buffer: np.ndarray | None = None):
     """Fourier transform of the fine box-averaging kernel at momentum p.
 
     Product over axes of sin(p/2) / ((1/eps) sin(eps*p/2)) raised to the
     profile exponent; removable singularities handled by series expansion.
-    p is four per-axis components or a (..., 4) array.
+    p is four per-axis components or a (..., 4) array.  The time factor is
+    multiplied last, so over a slab of fiber time rows the product costs
+    one pass.  A C-contiguous float ``buffer`` of the result's shape is
+    overwritten and returned (as in :func:`blockspin.torus.fiber_split`).
     """
     p = _components(p)
     blens = (shape.mt, shape.mx, shape.mx, shape.mx)
     spac = shape.spacings("fine")
-    out = np.ones(())
-    for axis in range(4):
-        out = out * profile_axis_symbol(spac[axis] * p[axis], blens[axis], profile.exponent)
-    return out
+    space = np.ones(())
+    for axis in (1, 2, 3):
+        space = space * profile_axis_symbol(spac[axis] * p[axis], blens[axis], profile.exponent)
+    time = profile_axis_symbol(spac[0] * p[0], blens[0], profile.exponent)
+    if buffer is not None and _fits(buffer, np.broadcast_shapes(space.shape, time.shape), space.dtype):
+        return np.multiply(space, time, out=buffer)
+    return space * time
 
 
 def _spatial_stencil(p: tuple[np.ndarray, ...], eps_x: float) -> np.ndarray:
@@ -201,10 +215,13 @@ def _det2(M: np.ndarray) -> np.ndarray:
     return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
 
 
+def _singular_row(row: tuple[int, ...], why: str) -> NumericalError:
+    return NumericalError(f"fiber row {row} singular: {why}", row, why)
+
+
 def _raise_at(bad: np.ndarray, why: str) -> None:
     if np.any(bad):
-        row = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise NumericalError(f"fiber row {row} singular: {why}")
+        raise _singular_row(tuple(int(i) for i in np.argwhere(bad)[0]), why)
 
 
 def _pole_rows(pole: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -222,20 +239,34 @@ def fiber_resolvent(a: np.ndarray, u: np.ndarray, rhs: np.ndarray | None = None)
     (Sherman-Morrison) factor; with ``rhs`` returns (sigma, x) where x solves
     (diag(a) + u u^T) x = rhs.  A pole row (a_j = 0 under the pole rule,
     with live u_j) has sigma = 0, u.x = rhs_j / u_j, x_l = (rhs_l - u_l u.x)
-    / a_l off the pole and x_j = (u.x - sum_{l != j} u_l x_l) / u_j.
+    / a_l off the pole and x_j = (u.x - sum_{l != j} u_l x_l) / u_j.  When
+    no entry is a pole the per-entry pole bookkeeping is skipped; the values
+    are the same.  1-D ``a``, ``u`` (and ``rhs``) are one row, solved as a
+    batch of one.  Errors name the row in the batch; a caller that streams
+    its rows in slabs re-bases them (:func:`_row_batches`).
     """
+    if a.ndim == 1:
+        out = fiber_resolvent(a[None], u[None], None if rhs is None else rhs[None])
+        return out[0] if rhs is None else (out[0][0], out[1][0])
     pole = np.abs(a) < _POLE
-    has = _pole_rows(pole, u)
-    inv_a = np.divide(1.0, a, out=np.zeros(a.shape, dtype=complex), where=~pole)
+    poles = bool(pole.any())
+    if poles:
+        has = _pole_rows(pole, u)
+        inv_a = np.divide(1.0, a, out=np.zeros(a.shape, dtype=complex), where=~pole)
+    else:
+        has = np.zeros(a.shape[:-1], dtype=bool)
+        inv_a = np.divide(1.0, a, dtype=complex)
     one_s = 1.0 + np.einsum("...j,...j,...j->...", u, u, inv_a)  # no u^2 temporary
     _raise_at((np.abs(one_s) < _SINGULAR) & ~has, "the resummation factor vanishes")
     sigma = np.divide(1.0, one_s, out=np.zeros_like(one_s), where=~has)
     if rhs is None:
         return sigma
     ux = sigma * np.einsum("...j,...j->...", u * rhs, inv_a)
-    ux[has] = rhs[pole] / u[pole]
+    if poles:
+        ux[has] = rhs[pole] / u[pole]
     x = (rhs - u * ux[..., None]) * inv_a
-    x[pole] = (ux - np.einsum("...j,...j->...", u, x))[has] / u[pole]
+    if poles:
+        x[pole] = (ux - np.einsum("...j,...j->...", u, x))[has] / u[pole]
     return sigma, x
 
 
@@ -273,16 +304,40 @@ def well_resolvent(D: np.ndarray, u: np.ndarray, w: np.ndarray | None = None):
 # scalar composite: the zero-field effective quadratic symbol
 # ---------------------------------------------------------------------------
 
-#: fiber entries per batch of momenta: the temporaries stay at a few MB
+#: fiber entries per batch of rows: the temporaries stay at a few MB
 _BATCH_ENTRIES = 1 << 14
 
 
+def _row_batches(count: int, row_entries: int, rows, index_shape: tuple[int, ...] = ()) -> np.ndarray:
+    """rows(s) over consecutive slices s of range(count), stacked along axis 0.
+
+    Each slice holds max(1, _BATCH_ENTRIES // row_entries) items of
+    ``row_entries`` fiber entries each.  rows(s) returns one result per
+    fiber row of the kernel it runs, so a :class:`NumericalError` naming row
+    (r,) of a batch is re-raised naming the caller's row: the rows stacked
+    before the batch plus r, unravelled to ``index_shape`` when given.
+    """
+    step = max(1, _BATCH_ENTRIES // row_entries)
+    parts, done = [], 0
+    for start in range(0, max(count, 1), step):
+        try:
+            parts.append(rows(slice(start, start + step)))
+        except NumericalError as exc:
+            if exc.row is None:
+                raise
+            flat = done + exc.row[0]
+            row = tuple(int(i) for i in np.unravel_index(flat, index_shape)) if index_shape else (flat,)
+            raise _singular_row(row, exc.why) from None
+        done += len(parts[-1])
+    return np.concatenate(parts)
+
+
 def _in_batches(k, shape: TorusShape, rows):
-    """rows(kb) over batches kb (n, 4) of the momenta k (..., 4), stacked back to k's shape."""
+    """rows(kb) over batches kb (n, 4) of the momenta k (..., 4), stacked back
+    to k's shape; errors name the index in k."""
     k = _as_k_array(k)
     flat = k.reshape(-1, 4)
-    step = max(1, _BATCH_ENTRIES // (shape.mt * shape.mx**3))
-    out = np.concatenate([rows(flat[i : i + step]) for i in range(0, max(len(flat), 1), step)])
+    out = _row_batches(len(flat), shape.mt * shape.mx**3, lambda s: rows(flat[s]), k.shape[:-1])
     return out.reshape(k.shape[:-1] + out.shape[1:])
 
 

@@ -323,7 +323,8 @@ def fft_mode_grid(extents: tuple[int, int, int, int]) -> np.ndarray:
 # fine-lattice fiber structure over unit momenta
 # ---------------------------------------------------------------------------
 
-def fiber_split(coeffs: np.ndarray, shape: TorusShape) -> np.ndarray:
+def fiber_split(coeffs: np.ndarray, shape: TorusShape, time_rows: slice = slice(None),
+                buffer: np.ndarray | None = None) -> np.ndarray:
     """Reorganize fine-mode coefficients into unit-momentum fibers.
 
     Fine mode m decomposes per axis as m = j*N + i with unit index
@@ -331,13 +332,30 @@ def fiber_split(coeffs: np.ndarray, shape: TorusShape) -> np.ndarray:
     shape (unit sites, block count) + trailing axes of ``coeffs``: row r is
     row-major over (i_t, i_x, i_y, i_z), column j row-major over
     (j_t, j_x, j_y, j_z).  :func:`fiber_momenta` gives each entry's momentum.
+
+    ``time_rows`` (a slice of unit time indices i_t) returns only the rows
+    with i_t in it: a slab of whole time rows, the same rows in the same
+    order as the full split, copied out of ``coeffs`` without copying the
+    rest.  A caller streams the fibers slab by slab with it, passing the
+    previous slab's fibers as ``buffer``: a C-contiguous array of the
+    result's shape and dtype is overwritten and returned, so the slabs reuse
+    one block of memory; any other ``buffer`` is ignored.
     """
     Nt, Nx, _, _ = shape.unit_extents
     mt, mx = shape.mt, shape.mx
     tail = coeffs.shape[4:]
-    a = coeffs.reshape((mt, Nt, mx, Nx, mx, Nx, mx, Nx) + tail)
+    a = coeffs.reshape((mt, Nt, mx, Nx, mx, Nx, mx, Nx) + tail)[:, time_rows]
     a = a.transpose((1, 3, 5, 7, 0, 2, 4, 6) + tuple(range(8, 8 + len(tail))))
-    return a.reshape((Nt * Nx * Nx * Nx, mt * mx * mx * mx) + tail)
+    rows = (a.shape[0] * Nx * Nx * Nx, mt * mx * mx * mx) + tail
+    if not _fits(buffer, rows, coeffs.dtype):
+        return a.reshape(rows)
+    np.copyto(buffer.reshape(a.shape), a)
+    return buffer
+
+
+def _fits(buffer: np.ndarray | None, shape: tuple[int, ...], dtype) -> bool:
+    """Whether ``buffer`` can take a result of this shape and dtype in place."""
+    return buffer is not None and buffer.shape == shape and buffer.dtype == dtype and buffer.flags.c_contiguous
 
 
 def fiber_merge(fibers: np.ndarray, shape: TorusShape) -> np.ndarray:
@@ -367,8 +385,7 @@ def fine_momenta(shape: TorusShape) -> tuple[np.ndarray, ...]:
     return t.reshape(-1, 1, 1, 1), x.reshape(1, -1, 1, 1), x.reshape(1, 1, -1, 1), x.reshape(1, 1, 1, -1)
 
 
-@lru_cache(maxsize=64)
-def fiber_momenta(shape: TorusShape) -> tuple[np.ndarray, ...]:
+def fiber_momenta(shape: TorusShape, time_rows: slice = slice(None)) -> tuple[np.ndarray, ...]:
     """Momentum in radians of every fiber entry, as four per-axis components.
 
     The fine momenta pushed through the split of :func:`fiber_split` axis by
@@ -376,9 +393,17 @@ def fiber_momenta(shape: TorusShape) -> tuple[np.ndarray, ...]:
     j*N + i (unit index i in [0, N), block index j) at unit axis a and block
     axis a of the (Nt, Nx, Nx, Nx, mt, mx, mx, mx) view, extent 1 elsewhere.
     A symbol evaluated on the components broadcasts to that view, which
-    reshapes to the (unit sites, blocks) fiber array at no cost.  Cached per
-    shape, so the components are read-only.
+    reshapes to the (unit sites, blocks) fiber array at no cost.
+    ``time_rows`` keeps the unit time rows of the matching
+    :func:`fiber_split` slab.  The components are cached per shape, so they
+    are read-only.
     """
+    t, x, y, z = _fiber_momentum_tables(shape)
+    return t[time_rows], x, y, z
+
+
+@lru_cache(maxsize=64)
+def _fiber_momentum_tables(shape: TorusShape) -> tuple[np.ndarray, ...]:
     # contiguous (N, m) tables [i, j], so that symbols broadcast into C order
     t, x = (np.ascontiguousarray(c.reshape(-1, N).T) for c, N in zip(_axis_momenta(shape), shape.unit_extents))
     t.flags.writeable = x.flags.writeable = False

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from blockspin.flow import (
     renormalize_mu,
     run_flow,
 )
+from blockspin import symbols
 from blockspin.lattice_ops import SHARP, SMOOTH, forward_difference
 from blockspin.symbols import NumericalError, heat_symbol, zero_field_symbol
 from blockspin.torus import Field, LatticeError, fft_mode_grid, inner_product, make_shape, radians_for_modes
@@ -115,6 +117,40 @@ def test_step_massless_fixed_point_small_momenta():
     lhs = 1.0 / out2.symbol_grid[live]
     rhs = 1.0 / a2 - 1.0 + 1.0 / zf2[live]
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+@pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
+def test_step_pole_rows_in_a_later_slab(monkeypatch, profile):
+    # (18,9,9,9) steps to (2,3,3,3): fiber row 28 is unit site (1,0,0,1), in
+    # the second time row.  Its block-0 entry is fine mode (1,0,0,1) and its
+    # block (1,0,0,0) entry is fine mode (3,0,0,1); both carry live weight.
+    act = QuadraticAction.from_heat_minus_mu((18, 9, 9, 9), mu=0.3)
+    one = act.symbol_grid.copy()
+    one[1, 0, 0, 1] = 0.0
+    two = one.copy()
+    two[3, 0, 0, 1] = 0.0
+    whole = block_spin_step(QuadraticAction(act.extents, one), 3, profile).symbol_grid
+    with pytest.raises(NumericalError, match=r"fiber row \(28,\)"):
+        block_spin_step(QuadraticAction(act.extents, two), 3, profile)
+    monkeypatch.setattr(symbols, "_BATCH_ENTRIES", 1)  # one time row per slab
+    sliced = block_spin_step(QuadraticAction(act.extents, one), 3, profile).symbol_grid
+    assert sliced[1, 0, 0, 1] == 0.0 and np.count_nonzero(sliced == 0.0) == 1
+    np.testing.assert_allclose(sliced, whole, rtol=1e-14, atol=0)
+    with pytest.raises(NumericalError, match=r"fiber row \(28,\)"):
+        block_spin_step(QuadraticAction(act.extents, two), 3, profile)
+
+
+def test_chain_step_streams_in_small_memory():
+    # the (243,27,27,27) step of the benchmark chain: 4.8M fiber entries
+    # (a 76 MB grid) in slabs of one time row
+    act = QuadraticAction.from_heat_minus_mu((243, 27, 27, 27), mu=0.05)
+    tracemalloc.start()
+    try:
+        block_spin_step(act, 3, SMOOTH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_step_divisibility_guard():

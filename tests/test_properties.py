@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blockspin import symbols
 from blockspin.background import ModelParams, _direct_operator, _FiberOperator
 from blockspin.flow import QuadraticAction, block_spin_step, block_spin_step_dense
 from blockspin.lattice_ops import SHARP, SMOOTH
@@ -130,6 +131,29 @@ def test_block_spin_step_matches_dense(dims, profile, mu, seed):
     dense = block_spin_step_dense(action, L, profile)
     assert fast.extents == dense.extents == (nt, 1, 1, 1)
     _close(fast.symbol_grid, dense.symbol_grid)
+
+
+@settings(max_examples=6)
+@given(st.sampled_from([(3, 2, 1), (3, 3, 1)]), profiles,
+       st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.none()), st.integers(0, 2**16))
+def test_block_spin_step_in_slabs_matches_dense(dims, profile, mu, seed):
+    # dims = (L, output time extent, output spatial extent); with the batch
+    # budget at one entry every output time row is a slab of its own
+    L, nt, nx = dims
+    extents = (L * L * nt, L * nx, L * nx, L * nx)
+    if mu is None:
+        rng = np.random.default_rng(seed)
+        action = QuadraticAction(extents, 0.2 + rng.random(extents) + 1j * rng.standard_normal(extents))
+    else:
+        action = QuadraticAction.from_heat_minus_mu(extents, mu)
+    whole = block_spin_step(action, L, profile)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symbols, "_BATCH_ENTRIES", 1)
+        fast = block_spin_step(action, L, profile)
+    dense = block_spin_step_dense(action, L, profile)
+    assert fast.extents == dense.extents == (nt, nx, nx, nx)
+    _close(fast.symbol_grid, dense.symbol_grid)
+    np.testing.assert_allclose(fast.symbol_grid, whole.symbol_grid, rtol=1e-14, atol=0)
 
 
 @given(st.integers(2, 6), st.data())

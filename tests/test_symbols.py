@@ -412,3 +412,31 @@ def test_subnormal_diagonal_is_a_pole():
     U = np.kron(uw[0][:, None], np.eye(2))
     M += U @ U.T
     np.testing.assert_allclose(M @ c[0].reshape(-1), U @ np.array([1.0, -2.0]), atol=1e-14)
+
+
+def test_batched_symbol_errors_name_the_index_in_k():
+    # 243 blocks per fiber put k[100] in the second batch, at its row 33
+    s = make_shape(1, 3, 1, 1)
+    k = np.random.default_rng(0).uniform(0.5, 2.5, (200, 4))
+    k[100] = 0.0
+    mu = 26.999999999999996
+    with pytest.raises(NumericalError, match=r"fiber row \(100,\)") as err:
+        zero_field_symbol(k, mu, 1.0, s)
+    assert err.value.row == (100,)
+    with pytest.raises(NumericalError, match=r"fiber row \(5, 0\)"):
+        zero_field_symbol(k.reshape(10, 20, 4), mu, 1.0, s)
+
+
+def test_fiber_resolvent_on_a_single_row():
+    rng = np.random.default_rng(3)
+    u = rng.uniform(0.3, 1.0, 5)
+    rhs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    for pole in (None, 2):
+        a = rng.uniform(0.5, 2.0, 5) + 1j * rng.standard_normal(5)
+        if pole is not None:
+            a[pole] = 0.0
+        sigma, x = fiber_resolvent(a, u, rhs)
+        sigma_b, x_b = fiber_resolvent(a[None], u[None], rhs[None])
+        assert sigma == sigma_b[0] and np.array_equal(x, x_b[0])
+        assert fiber_resolvent(a, u) == sigma_b[0]
+        assert (sigma == 0.0) == (pole is not None)
