@@ -20,16 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .background import ModelParams, solve_constant
+from .background import ModelParams, _FiberOperator, solve_constant
 from .lattice_ops import SHARP, AveragingProfile, apply_heat, fine_average
-from .symbols import averaging_symbol, heat_symbol, well_symbol, zero_field_symbol
+from .symbols import _DEAD_WEIGHT, well_symbol, zero_field_symbol
 from .torus import (
     Field,
     FieldPair,
     LatticeError,
     TorusShape,
     fft_mode_grid,
-    fiber_momenta,
     field_modes,
     inner_product,
     negate_modes,
@@ -233,21 +232,18 @@ def fluctuation_spectrum(params: ModelParams, shape: TorusShape,
     """Exact spectrum of (averaging mass + heat - mu) over momentum fibers.
 
     Per unit momentum the fiber matrix is diag(heat - mu) plus the rank-one
-    averaging coupling u u^T.  Entries with vanishing averaging weight
+    averaging coupling u u^T, on the linear solvers' fiber data.  Entries with vanishing averaging weight
     decouple exactly; the coupled core is handled densely, including the
     principal square root of its inverse (the fluctuation covariance) and
     the verification that the square root's spectrum lies in the open right
     half-plane.
     """
-    p = fiber_momenta(shape)
-    rows = (shape.sites("unit"), -1)
-    u_rows = averaging_symbol(p, shape, profile).reshape(rows)
-    a_rows = (heat_symbol(p, shape, params.d, "discrete") - params.mu).reshape(rows)
+    fiber = _FiberOperator(shape, params, profile)
     eigs_all = []
     sqrt_resid = 0.0
     sqrt_rhp = True
-    for u, a in zip(u_rows, a_rows):
-        coupled = np.abs(u) > 1e-12
+    for u, a in zip(fiber.u, fiber.a_plain):
+        coupled = np.abs(u) > _DEAD_WEIGHT
         a_dec = a[~coupled]
         eigs_all.append(a_dec)
         # decoupled covariance entries are 1/a; principal scalar square roots
@@ -277,5 +273,5 @@ def fluctuation_spectrum(params: ModelParams, shape: TorusShape,
         min_distance=float(np.min(dist)),
         sqrt_residual=sqrt_resid,
         sqrt_in_right_half_plane=sqrt_rhp,
-        blocks=len(u_rows),
+        blocks=len(fiber.u),
     )

@@ -156,7 +156,7 @@ class _FiberOperator:
         rows = (shape.sites("unit"), -1)
         self.u = averaging_symbol(p, shape, profile).reshape(rows)
         self.a_plain = (heat_symbol(p, shape, params.d, "discrete") - params.mu).reshape(rows)
-        self.a_star = (heat_symbol(p, shape, params.d, "discrete", transpose=True) - params.mu).reshape(rows)
+        self.a_star = self.a_plain.conj()  # heat^T has the conjugate symbol; mu is real
 
     def _on_fibers(self, values: np.ndarray, fiber_map) -> np.ndarray:
         """Apply ``fiber_map`` to the (U, B) fiber array of a fine field's mode coefficients."""
@@ -250,10 +250,8 @@ def solve_well_linear(R: Field, Theta: Field, params: ModelParams, shape: TorusS
     u = averaging_symbol(p, shape, profile).reshape(rows)
     D = well_matrix(p, params.mu, params.d, shape, mode).reshape(rows + (2, 2))
     _, c = well_resolvent(D, u, w)
-    X_vals = np.fft.ifftn(fiber_merge(c[..., 0], shape)) * shape.sites("fine")
-    H_vals = np.fft.ifftn(fiber_merge(c[..., 1], shape)) * shape.sites("fine")
-    X = Field(shape, "fine", X_vals)
-    H = Field(shape, "fine", H_vals)
+    XH = np.fft.ifftn(fiber_merge(c, shape), axes=(0, 1, 2, 3)) * shape.sites("fine")
+    X, H = Field(shape, "fine", XH[..., 0]), Field(shape, "fine", XH[..., 1])
     resid = _well_residual(X, H, R, Theta, params, shape, mode, profile)
     scale = max(1.0, float(np.max(np.abs(R.values))), float(np.max(np.abs(Theta.values))))
     if resid > check_tol * scale:
@@ -312,7 +310,7 @@ def _seed_fields(psi_pair, params, shape, profile, strategy):
     if strategy == "zero":
         z = np.zeros(shape.fine_extents, dtype=complex)
         return z.copy(), z.copy()
-    if strategy in ("linearized", "auto-small"):
+    if strategy == "linearized":
         lin = solve_linear(psi_pair, params, shape, profile)
         return lin.phi_star.values.copy(), lin.phi.values.copy()
     if strategy == "well":

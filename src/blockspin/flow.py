@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .action import well_geometry
 from .lattice_ops import SHARP, AveragingProfile, block_average, block_average_adjoint, operator_matrix
 from .symbols import NumericalError, _row_batches, averaging_symbol, fiber_resolvent
 from .torus import Field, LatticeError, TorusShape, fiber_momenta, fiber_split, make_shape, negate_modes
@@ -410,8 +411,6 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
     correction's pole at input mu = L^-2), the trace ends at the last good
     scale.  The last row's ``stop`` records why the trace ended.
     """
-    from .action import well_geometry
-
     n_last = max_steps(v0, L)
     if steps is not None:
         n_last = min(n_last, steps - 1)

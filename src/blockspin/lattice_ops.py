@@ -1,9 +1,11 @@
 """Direct-space lattice operators.
 
 Forward/backward differences, the spatial Laplacian and the heat operator on
-any level; block averaging from the unit torus to its coarse sublattice;
-fine-to-unit box averaging; the bilinear adjoints of both averages; and the
-parabolic scaling maps between consecutive scales.
+any level; the parabolic scaling maps between consecutive scales; and box
+averaging with its bilinear adjoint.  One averaging body serves both block
+averaging (unit -> coarse, L^2 x L^3 boxes) and fine averaging (fine -> unit,
+L^(2n) x L^(3n) boxes): block averaging is fine averaging on the one-step
+torus over the coarse torus.
 
 Averaging kernels are separable products of one-dimensional box profiles.
 ``exponent=1`` is the sharp box indicator; ``exponent=5`` is the box
@@ -19,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .norms import Kernel
 from .torus import Field, LatticeError, TorusShape
 
 __all__ = [
@@ -92,12 +95,20 @@ def _apply_profile_axis(values: np.ndarray, axis: int, box_len: int, exponent: i
     return out
 
 
-def _box_lengths(shape: TorusShape, which: str) -> tuple[int, int, int, int]:
-    if which == "block":
-        return (shape.L * shape.L, shape.L, shape.L, shape.L)
-    if which == "fine":
-        return (shape.mt, shape.mx, shape.mx, shape.mx)
-    raise LatticeError(which)
+def _average(values: np.ndarray, boxes: tuple[int, ...], exponent: int) -> np.ndarray:
+    """Profile-weighted average over ``boxes`` (lengths per axis) centered at stride ``boxes``."""
+    for axis, blen in enumerate(boxes):
+        values = _apply_profile_axis(values, axis, blen, exponent, sign=+1)
+    return values[tuple(slice(None, None, b) for b in boxes)]
+
+
+def _average_adjoint(values: np.ndarray, boxes: tuple[int, ...], extents, exponent: int) -> np.ndarray:
+    """Adjoint of :func:`_average` onto ``extents``, weighted by the box volume."""
+    scat = np.zeros(extents, dtype=complex)
+    scat[tuple(slice(None, None, b) for b in boxes)] = values
+    for axis, blen in enumerate(boxes):
+        scat = _apply_profile_axis(scat, axis, blen, exponent, sign=-1)
+    return float(math.prod(boxes)) * scat
 
 
 # ---------------------------------------------------------------------------
@@ -144,51 +155,32 @@ def apply_heat_transpose(f: Field, d: float = 1.0) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# block averaging: unit -> coarse and back
+# block averaging (unit -> coarse), fine averaging (fine -> unit), adjoints
 # ---------------------------------------------------------------------------
 
 def block_average(f: Field, profile: AveragingProfile = SHARP) -> Field:
     """Profile-weighted average over L^2 x L x L x L blocks centered at coarse points."""
     if f.level != "unit":
         raise LatticeError("block_average expects a unit-level field")
-    shape = f.shape
-    ce = shape.coarse_extents  # validates divisibility
-    g = f.values
-    for axis, blen in enumerate(_box_lengths(shape, "block")):
-        g = _apply_profile_axis(g, axis, blen, profile.exponent, sign=+1)
-    Lsq = shape.L * shape.L
-    out = g[::Lsq, :: shape.L, :: shape.L, :: shape.L]
-    assert out.shape == ce
-    return Field(shape, "coarse", out)
+    L = f.shape.L
+    f.shape.coarse_extents  # validates divisibility
+    return Field(f.shape, "coarse", _average(f.values, (L * L, L, L, L), profile.exponent))
 
 
 def block_average_adjoint(theta: Field, profile: AveragingProfile = SHARP) -> Field:
     """Adjoint of :func:`block_average` for the pairing <theta, Q psi>_{-1} = <Q* theta, psi>_0."""
     if theta.level != "coarse":
         raise LatticeError("block_average_adjoint expects a coarse-level field")
-    shape = theta.shape
-    scat = np.zeros(shape.unit_extents, dtype=complex)
-    Lsq = shape.L * shape.L
-    scat[::Lsq, :: shape.L, :: shape.L, :: shape.L] = theta.values
-    for axis, blen in enumerate(_box_lengths(shape, "block")):
-        scat = _apply_profile_axis(scat, axis, blen, profile.exponent, sign=-1)
-    return Field(shape, "unit", float(shape.L**5) * scat)
+    shape, L = theta.shape, theta.shape.L
+    return Field(shape, "unit", _average_adjoint(theta.values, (L * L, L, L, L), shape.unit_extents, profile.exponent))
 
-
-# ---------------------------------------------------------------------------
-# fine averaging: fine -> unit and back
-# ---------------------------------------------------------------------------
 
 def fine_average(f: Field, profile: AveragingProfile = SHARP) -> Field:
     """Average of a fine field over the side-1 box centered at each unit point."""
     if f.level != "fine":
         raise LatticeError("fine_average expects a fine-level field")
     shape = f.shape
-    g = f.values
-    for axis, blen in enumerate(_box_lengths(shape, "fine")):
-        g = _apply_profile_axis(g, axis, blen, profile.exponent, sign=+1)
-    out = g[:: shape.mt, :: shape.mx, :: shape.mx, :: shape.mx]
-    return Field(shape, "unit", out)
+    return Field(shape, "unit", _average(f.values, (shape.mt, shape.mx, shape.mx, shape.mx), profile.exponent))
 
 
 def fine_average_adjoint(psi: Field, profile: AveragingProfile = SHARP) -> Field:
@@ -199,11 +191,8 @@ def fine_average_adjoint(psi: Field, profile: AveragingProfile = SHARP) -> Field
     if psi.level != "unit":
         raise LatticeError("fine_average_adjoint expects a unit-level field")
     shape = psi.shape
-    scat = np.zeros(shape.fine_extents, dtype=complex)
-    scat[:: shape.mt, :: shape.mx, :: shape.mx, :: shape.mx] = psi.values
-    for axis, blen in enumerate(_box_lengths(shape, "fine")):
-        scat = _apply_profile_axis(scat, axis, blen, profile.exponent, sign=-1)
-    return Field(shape, "fine", float(shape.mt * shape.mx**3) * scat)
+    boxes = (shape.mt, shape.mx, shape.mx, shape.mx)
+    return Field(shape, "fine", _average_adjoint(psi.values, boxes, shape.fine_extents, profile.exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +291,6 @@ def scale_interaction_kernel(V, n: int):
     L^(-n) * (L^(5n))^3 = L^(14n).  The induced local coupling of an
     on-diagonal kernel drops by L^(-n) per step.
     """
-    from .norms import Kernel
-
     if n < 0:
         raise LatticeError("scale index must be nonnegative")
     if n == 0:

@@ -142,26 +142,19 @@ def _spatial_stencil(p: tuple[np.ndarray, ...], eps_x: float) -> np.ndarray:
     return sum((2.0 - 2.0 * np.cos(eps_x * p[i])) / (eps_x * eps_x) for i in (1, 2, 3))
 
 
-def heat_symbol(p, shape: TorusShape, d: float = 1.0, mode: str = "discrete", transpose: bool = False):
+def heat_symbol(p, shape: TorusShape, d: float = 1.0, mode: str = "discrete"):
     """Symbol of -d * (forward time difference) - Laplacian on the fine lattice.
 
-    ``transpose`` gives the bilinear transpose (+d * backward difference).
-    In continuum mode the result is -i*d*p0 + |pvec|^2 (conjugate time part
-    when transposed).  p is four per-axis components or a (..., 4) array.
+    In continuum mode the result is -i*d*p0 + |pvec|^2.  At real momenta the
+    bilinear transpose (+d * backward difference - Laplacian) has the complex
+    conjugate symbol.  p is four per-axis components or a (..., 4) array.
     """
     _check_mode(mode)
     p = _components(p)
     if mode == "continuum":
-        sp = p[1] ** 2 + p[2] ** 2 + p[3] ** 2
-        time = 1j * d * p[0] if transpose else -1j * d * p[0]
-        return time + sp
+        return -1j * d * p[0] + (p[1] ** 2 + p[2] ** 2 + p[3] ** 2)
     et = shape.eps_t
-    sp = _spatial_stencil(p, shape.eps_x)
-    if transpose:
-        time = d * (1.0 - np.exp(-1j * et * p[0])) / et
-    else:
-        time = -d * (np.exp(1j * et * p[0]) - 1.0) / et
-    return time + sp
+    return -d * (np.exp(1j * et * p[0]) - 1.0) / et + _spatial_stencil(p, shape.eps_x)
 
 
 def commutator_average_norm(shape: TorusShape, axis: int, profile: AveragingProfile = SHARP) -> float:
@@ -374,7 +367,7 @@ def zero_field_symbol_dense(k, mu, d, shape: TorusShape, mode: str = "discrete",
     (blocks, 4) momenta k + :func:`blockspin.torus.block_momenta`.
     """
     a, u = _fiber_terms(np.asarray(k, float).reshape(4) + block_momenta(shape), mu, d, shape, mode, profile)
-    coupled = np.abs(u) > 1e-12
+    coupled = np.abs(u) > _DEAD_WEIGHT
     ac, uc = a[coupled], u[coupled]
     if ac.size > cap:
         raise LatticeError(f"coupled fiber of size {ac.size} exceeds the dense-oracle cap {cap}")
@@ -464,7 +457,7 @@ def well_fiber_dense(k, mu, d, shape: TorusShape, mode: str = "continuum",
     p = np.asarray(k, dtype=float).reshape(4) + block_momenta(shape)
     u = averaging_symbol(p, shape, profile)
     D = well_matrix(p, mu, d, shape, mode)
-    coupled = np.abs(u) > 1e-12
+    coupled = np.abs(u) > _DEAD_WEIGHT
     uc = u[coupled]
     Dc = D[coupled]
     B = uc.size
@@ -570,6 +563,11 @@ def _entry_ratios(values: np.ndarray, envelope: np.ndarray) -> float:
     return float(np.max(np.abs(values) / envelope))
 
 
+def _envelope(e00, e01, e10, e11) -> np.ndarray:
+    """(n, 2, 2) envelope from its four entries: arrays over n momenta, or scalars (n = 1)."""
+    return np.stack(np.broadcast_arrays(e00, e01, e10, e11), axis=-1).reshape(-1, 2, 2)
+
+
 def momentum_bound_report(shape: TorusShape, mu: float, d: float, mode: str = "continuum",
                           profile: AveragingProfile = SHARP, kgrid: np.ndarray | None = None,
                           n_ell: int = 6, rng: np.random.Generator | None = None) -> dict:
@@ -584,6 +582,7 @@ def momentum_bound_report(shape: TorusShape, mu: float, d: float, mode: str = "c
       c: resummation factor vs [[mu/d^2 + |k|^2, |k|/d], [|k|/d, |k|^2]];
       d: wellmatrix(k+l)^-1 * resummation vs
          [[mu/d^4 + |k|/d^2, |k|/d^3 + |k|^2/d], [mu/d^3 + |k|/d, |k|/d^2 + |k|^2]].
+    Parts b and d share one inverse per sampled block momentum l.
     Returns {"a": ..., "b": ..., "c": ..., "d": ...}, each a finite float.
     """
     rng = rng or np.random.default_rng(0)
@@ -603,47 +602,20 @@ def momentum_bound_report(shape: TorusShape, mu: float, d: float, mode: str = "c
     pick = rng.choice(nonzero, size=min(n_ell, len(nonzero)), replace=False)
     ells = ell_all[pick]
 
-    report = {}
     # part a: momenta bounded away from zero
     pa = rng.uniform(-np.pi, np.pi, size=(200, 4))
     pa = pa[np.linalg.norm(pa, axis=1) >= 1.0]
-    inva = _inv2(well_matrix(pa, mu, d, shape, mode))
-    env_a = np.array([[d**-2, d**-1], [d**-1, 1.0]])
-    report["a"] = _entry_ratios(inva, env_a[None, :, :])
+    ratio_a = _entry_ratios(_inv2(well_matrix(pa, mu, d, shape, mode)), _envelope(d**-2, d**-1, d**-1, 1.0))
 
-    # part b
     Dk = well_matrix(kgrid, mu, d, shape, mode)
-    ratios_b = 0.0
-    for ell in ells:
-        Dkl_inv = _inv2(well_matrix(kgrid + ell[None, :], mu, d, shape, mode))
-        prod = Dkl_inv @ Dk
-        env = np.empty_like(prod, dtype=float)
-        env[:, 0, 0] = mu / d**2 + knorm
-        env[:, 0, 1] = knorm / d
-        env[:, 1, 0] = mu / d + d * knorm
-        env[:, 1, 1] = knorm
-        ratios_b = max(ratios_b, _entry_ratios(prod, env))
-    report["b"] = ratios_b
-
-    # part c
     fb = well_symbol(kgrid, mu, d, shape, mode, profile)
-    env_c = np.empty_like(fb, dtype=float)
-    env_c[:, 0, 0] = mu / d**2 + knorm**2
-    env_c[:, 0, 1] = knorm / d
-    env_c[:, 1, 0] = knorm / d
-    env_c[:, 1, 1] = knorm**2
-    report["c"] = _entry_ratios(fb, env_c)
-
-    # part d
-    ratios_d = 0.0
+    env_b = _envelope(mu / d**2 + knorm, knorm / d, mu / d + d * knorm, knorm)
+    env_c = _envelope(mu / d**2 + knorm**2, knorm / d, knorm / d, knorm**2)
+    env_d = _envelope(mu / d**4 + knorm / d**2, knorm / d**3 + knorm**2 / d, mu / d**3 + knorm / d,
+                      knorm / d**2 + knorm**2)
+    ratio_b = ratio_d = 0.0
     for ell in ells:
         Dkl_inv = _inv2(well_matrix(kgrid + ell[None, :], mu, d, shape, mode))
-        prod = Dkl_inv @ fb
-        env = np.empty_like(prod, dtype=float)
-        env[:, 0, 0] = mu / d**4 + knorm / d**2
-        env[:, 0, 1] = knorm / d**3 + knorm**2 / d
-        env[:, 1, 0] = mu / d**3 + knorm / d
-        env[:, 1, 1] = knorm / d**2 + knorm**2
-        ratios_d = max(ratios_d, _entry_ratios(prod, env))
-    report["d"] = ratios_d
-    return report
+        ratio_b = max(ratio_b, _entry_ratios(Dkl_inv @ Dk, env_b))
+        ratio_d = max(ratio_d, _entry_ratios(Dkl_inv @ fb, env_d))
+    return {"a": ratio_a, "b": ratio_b, "c": _entry_ratios(fb, env_c), "d": ratio_d}

@@ -360,12 +360,14 @@ def _fits(buffer: np.ndarray | None, shape: tuple[int, ...], dtype) -> bool:
 
 def fiber_merge(fibers: np.ndarray, shape: TorusShape) -> np.ndarray:
     """Inverse of :func:`fiber_split` (same layout: row = unit index i,
-    column = block index j, fine mode j*N + i)."""
+    column = block index j, fine mode j*N + i).  Axes after the first two
+    stay trailing axes of the result, as :func:`fiber_split` keeps them."""
     Nt, Nx, _, _ = shape.unit_extents
     mt, mx = shape.mt, shape.mx
-    a = fibers.reshape(Nt, Nx, Nx, Nx, mt, mx, mx, mx)
-    a = a.transpose(4, 0, 5, 1, 6, 2, 7, 3)
-    return a.reshape(shape.fine_extents)
+    tail = fibers.shape[2:]
+    a = fibers.reshape((Nt, Nx, Nx, Nx, mt, mx, mx, mx) + tail)
+    a = a.transpose((4, 0, 5, 1, 6, 2, 7, 3) + tuple(range(8, 8 + len(tail))))
+    return a.reshape(shape.fine_extents + tail)
 
 
 def _axis_momenta(shape: TorusShape) -> tuple[np.ndarray, np.ndarray]:

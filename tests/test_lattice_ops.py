@@ -161,6 +161,23 @@ def test_fine_average_constant_and_adjoint(profile):
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
+@pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
+@pytest.mark.parametrize("L", [3, 5])
+@pytest.mark.parametrize("n", [0, 2])
+def test_block_average_is_fine_average_of_the_one_step_shape(n, L, profile):
+    # block averaging at any scale is fine averaging on the one-step torus over
+    # the coarse torus, with the unit field read as that torus's fine field
+    rng = np.random.default_rng(10 * L + n)
+    s = make_shape(n, L, 2 * L * L, 2 * L)
+    step = make_shape(1, L, s.Nt // (L * L), s.Nx // L)
+    u = Field.random(s, "unit", rng)
+    theta = Field.random(s, "coarse", rng)
+    assert np.array_equal(block_average(u, profile).values,
+                          fine_average(Field(step, "fine", u.values), profile).values)
+    assert np.array_equal(block_average_adjoint(theta, profile).values,
+                          fine_average_adjoint(Field(step, "unit", theta.values), profile).values)
+
+
 def test_fine_average_of_adjoint_fixes_constants():
     s = make_shape(1, 3, 2, 2)
     one = Field.constant(s, "unit", 1.0)

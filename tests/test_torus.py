@@ -168,6 +168,19 @@ def test_fiber_split_merge_roundtrip():
     np.testing.assert_allclose(fiber_merge(fib, s), c, atol=0)
 
 
+@pytest.mark.parametrize("dims", [(1, 3, 2, 2), (1, 5, 1, 2)])
+def test_fiber_split_merge_roundtrip_keeps_trailing_axes(dims):
+    # the well solve merges its (unit sites, blocks, 2) solution in one call
+    rng = np.random.default_rng(6)
+    s = make_shape(*dims)
+    c = rng.standard_normal(s.fine_extents + (2,)) + 1j * rng.standard_normal(s.fine_extents + (2,))
+    fib = fiber_split(c, s)
+    assert fib.shape == (s.sites("unit"), s.mt * s.mx**3, 2)
+    assert np.array_equal(fiber_merge(fib, s), c)
+    for j in (0, 1):
+        assert np.array_equal(fiber_merge(fib[..., j], s), c[..., j])
+
+
 def test_fiber_momenta_match_split_indexing():
     # a plane wave at fine mode j*N + i must land in fiber row i, column j, and
     # fiber_momenta must give that entry the wave's own momentum; unit index
