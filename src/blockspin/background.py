@@ -306,13 +306,16 @@ def nonlinear_residuals(psi_pair: FieldPair, phi_star: np.ndarray, phi: np.ndarr
     return res_star, res_plain
 
 
-def _seed_fields(psi_pair, params, shape, profile, strategy):
+def _seed_fields(psi_pair, params, shape, profile, strategy, fiber, psi_rhs):
+    """Newton's starting pair (phi_star, phi); the linearized seed solves
+    :func:`solve_linear`'s system with the solve's own fiber operator and
+    right-hand sides Q* psi."""
     if strategy == "zero":
         z = np.zeros(shape.fine_extents, dtype=complex)
         return z.copy(), z.copy()
     if strategy == "linearized":
-        lin = solve_linear(psi_pair, params, shape, profile)
-        return lin.phi_star.values.copy(), lin.phi.values.copy()
+        rhs_star, rhs_plain = psi_rhs
+        return fiber.solve_field(rhs_star, transpose=True), fiber.solve_field(rhs_plain)
     if strategy == "well":
         r = params.well_radius
         if r == 0.0:
@@ -336,9 +339,9 @@ def _seed_fields(psi_pair, params, shape, profile, strategy):
         return phi_star, phi
     if strategy == "auto":
         if params.mu <= 1.0:
-            return _seed_fields(psi_pair, params, shape, profile, "linearized")
+            return _seed_fields(psi_pair, params, shape, profile, "linearized", fiber, psi_rhs)
         conj_like = np.allclose(psi_pair.starred.values, np.conj(psi_pair.plain.values), atol=1e-9)
-        return _seed_fields(psi_pair, params, shape, profile, "well" if conj_like else "linearized")
+        return _seed_fields(psi_pair, params, shape, profile, "well" if conj_like else "linearized", fiber, psi_rhs)
     raise LatticeError(f"unknown seed strategy {strategy!r}")
 
 
@@ -357,16 +360,15 @@ def solve_nonlinear(psi_pair: FieldPair, params: ModelParams, shape: TorusShape,
         amp = max(float(np.max(np.abs(psi_pair.plain.values))), float(np.max(np.abs(psi_pair.starred.values))))
         if amp > field_radius:
             warnings.warn(f"external field amplitude {amp:.3g} exceeds the admissible radius {field_radius:.3g}")
-    phi_star, phi = _seed_fields(psi_pair, params, shape, profile, seed_strategy)
+    fiber = _FiberOperator(shape, params, profile)
+    psi_rhs = _nonlinear_rhs(psi_pair, profile)  # psi is fixed for the whole solve
+    phi_star, phi = _seed_fields(psi_pair, params, shape, profile, seed_strategy, fiber, psi_rhs)
     n = shape.sites("fine")
     dense = n <= DENSE_SITE_LIMIT
-    fiber = _FiberOperator(shape, params, profile)
     if dense:
         lin_plain = operator_matrix(lambda f: f.with_values(fiber.apply_field(f.values)), shape, "fine", "fine",
                                     max_sites=DENSE_SITE_LIMIT)
         diag = np.arange(n)
-
-    psi_rhs = _nonlinear_rhs(psi_pair, profile)  # psi is fixed for the whole solve
 
     def res_norms(rs, rp):
         return float(np.max(np.abs(rs))), float(np.max(np.abs(rp)))

@@ -6,6 +6,10 @@ parabolically.  At quadratic level the result is exact and closed: per
 output momentum the new symbol is a Schur complement over the block fiber of
 the input symbol plus the averaging coupling, composed with the momentum
 rescaling (k0, kvec) -> (k0/L^2, kvec/L) and the L^(+-3/2) amplitudes.
+That complement is the rank-one factor 1 / (1 + sum u^2 / symbol) of each
+fiber, and since box averaging is a product of one-dimensional box averages,
+u^2 is a product of per-axis tables: the step contracts them with the input
+grid in its own layout, slab by slab, without gathering the fibers.
 
 The chemical-potential trace is quadratic-level bookkeeping: the step's
 zero-momentum remainder feeds a fixed-point update mu_{n+1} = L^2 mu_n +
@@ -22,9 +26,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .action import well_geometry
-from .lattice_ops import SHARP, AveragingProfile, block_average, block_average_adjoint, operator_matrix
-from .symbols import NumericalError, _row_batches, averaging_symbol, fiber_resolvent
-from .torus import Field, LatticeError, TorusShape, fiber_momenta, fiber_split, make_shape, negate_modes
+from .lattice_ops import (SHARP, AveragingProfile, block_average, block_average_adjoint, operator_matrix,
+                          profile_axis_symbol)
+from .symbols import NumericalError, _pole_rows, _resummed, _row_batches
+from .torus import Field, LatticeError, TorusShape, fiber_momenta, make_shape, negate_modes
 
 __all__ = [
     "FlowParams",
@@ -144,12 +149,16 @@ class QuadraticAction:
 
     @classmethod
     def from_heat_minus_mu(cls, extents, mu: float, d: float = 1.0) -> "QuadraticAction":
-        """Unit-lattice heat symbol minus a mass term, summed from per-axis terms."""
+        """Unit-lattice heat symbol minus a mass term, summed from per-axis terms.
+
+        The spatial terms and -mu are summed on the small spatial grid, so
+        the full grid is written once, by one broadcast add of the time term.
+        """
         k = [2.0 * np.pi * np.arange(N) / N for N in extents]
-        grid = -d * (np.exp(1j * k[0]) - 1.0)[:, None, None, None]
+        space = -mu
         for axis in (1, 2, 3):
-            grid = grid + (2.0 - 2.0 * np.cos(k[axis])).reshape([-1 if a == axis else 1 for a in range(4)])
-        grid -= mu  # in place: one full-grid array
+            space = space + (2.0 - 2.0 * np.cos(k[axis])).reshape([-1 if a == axis else 1 for a in range(4)])
+        grid = -d * (np.exp(1j * k[0]) - 1.0)[:, None, None, None] + space
         return cls(tuple(extents), grid, provenance=f"heat-mu (mu={mu}, d={d})")
 
     def mass(self) -> complex:
@@ -161,21 +170,24 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     """One exact quadratic-level block-spin step.
 
     The input grid is the fine lattice of out = make_shape(1, L, Nt/L^2,
-    Nx/L) (spatial extents equal).  Per output momentum K the input grid's
-    fiber over K (in the layout of :func:`blockspin.torus.fiber_split`) goes
-    through :func:`blockspin.symbols.fiber_resolvent` with u = qhat/L, qhat
-    the averaging symbol over ``fiber_momenta(out)``, already in that
-    layout: the new symbol is L^2 / (L^2 + T), T = sum_m qhat(K+m)^2 /
-    symbol(K+m).  One vanishing
-    input symbol with live averaging weight is the massless limit and maps
-    to 0; any other vanishing pattern makes the Gaussian degenerate and
-    raises :class:`NumericalError` naming the fiber row, as one unbatched
-    resolvent call would.
+    Nx/L) (spatial extents equal).  Per output momentum K the new symbol is
+    the rank-one factor of :func:`blockspin.symbols.fiber_resolvent` on the
+    input's fiber over K with weights u = qhat/L, qhat the averaging
+    symbol: L^2 / (L^2 + T), T = sum_m qhat(K+m)^2 / symbol(K+m).  One
+    vanishing input symbol with live averaging weight is the massless limit
+    and maps to 0; any other vanishing pattern makes the Gaussian degenerate
+    and raises :class:`NumericalError` naming the fiber row (the flat index
+    of K), under the same pole rule as the resolvent.
 
-    The fibers stream in slabs of whole output time rows, as many as fit in
-    ``symbols._BATCH_ENTRIES`` fiber entries but at least one: each slab is
-    split out of the grid, weighted and resolved on its own, so no full-grid
-    fiber copy, weight array or reciprocal is ever allocated.
+    The sum is contracted on the grid as it lies.  Fine mode j*N + i (block
+    index j, unit index i) is entry (j_t, i_t, j_x, i_x, j_y, i_y, j_z, i_z)
+    of the grid's reshape view, and qhat^2 is a product of one-dimensional
+    (block, unit) tables, one per axis.  So the spatial weight divided by the
+    grid is summed over the three spatial block axes, and the time block
+    axis is contracted with its table: no fiber copy of the grid and no
+    full-grid weight array is made.  The grid streams in slabs of whole
+    output time rows, as many as fit in ``symbols._BATCH_ENTRIES`` fiber
+    entries but at least one, so the temporaries stay at a few MB.
 
     The block-spin weight is a/L^2 with a = 1, so one step of the heat
     action gives the scale-1 kernel (1 + S)^-1 of
@@ -188,22 +200,29 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     Nt, Nx = action.extents[:2]
     if Nt % (L * L) != 0 or Nx % L != 0 or any(e != Nx for e in action.extents[2:]):
         raise LatticeError(f"block step needs L^2 | Nt, L | Nx and cubic space, got {action.extents}, L={L}")
-    out_shape = make_shape(1, L, Nt // (L * L), Nx // L)
-
-    # the last slab's fibers and weights, overwritten by the next slab of that size: fresh
-    # arrays per slab go back to the OS when freed, and every slab faults its pages in again
-    a = u = None
+    out = make_shape(1, L, Nt // (L * L), Nx // L)
+    nt, nx, mt, mx = out.Nt, out.Nx, out.mt, out.mx
+    # qhat per axis as C-contiguous (block, unit) tables: strided ones slow the contractions
+    p = fiber_momenta(out)
+    qt, qx = (profile_axis_symbol(eps * np.ascontiguousarray(p[a].reshape(N, m).T), m, profile.exponent)
+              for a, eps, N, m in ((0, out.eps_t, nt, mt), (1, out.eps_x, nx, mx)))
+    time2 = qt * qt / (L * L)  # u^2 = qhat^2 / L^2
+    x2 = qx * qx
+    space2 = x2[:, :, None, None, None, None] * x2[:, :, None, None] * x2  # (mx, nx, mx, nx, mx, nx)
+    grid = action.symbol_grid.reshape(mt, nt, mx, nx, mx, nx, mx, nx)
 
     def slab(time_rows: slice) -> np.ndarray:
-        nonlocal a, u
-        a = fiber_split(action.symbol_grid, out_shape, time_rows, buffer=a)
-        u = averaging_symbol(fiber_momenta(out_shape, time_rows), out_shape, profile, buffer=u)
-        u /= L
-        return fiber_resolvent(a, u.reshape(a.shape))
+        a = grid[:, time_rows]
+        pole, has = _pole_rows(a, lambda: np.sqrt(np.multiply.outer(time2[:, time_rows], space2)), (0, 2, 4, 6))
+        if pole is None:
+            q = space2 / a
+        else:
+            q = np.divide(space2, a, out=np.zeros(a.shape, dtype=complex), where=~pole)
+        space_sum = np.einsum("tiajbkcl->tijkl", q)  # faster than q.sum over axes (2, 4, 6)
+        return _resummed(1.0 + np.einsum("ti,tijkl->ijkl", time2[:, time_rows], space_sum), has).reshape(-1)
 
-    sigma = _row_batches(out_shape.Nt, action.symbol_grid.size // out_shape.Nt, slab)
-    return QuadraticAction(out_shape.unit_extents, sigma.reshape(out_shape.unit_extents),
-                           provenance=f"step({action.provenance})")
+    sigma = _row_batches(nt, action.symbol_grid.size // nt, slab)
+    return QuadraticAction(out.unit_extents, sigma.reshape(out.unit_extents), provenance=f"step({action.provenance})")
 
 
 def block_spin_step_dense(action: QuadraticAction, L: int, profile: AveragingProfile = SHARP,

@@ -8,11 +8,13 @@ symbols reduce to finite fiber sums plus rank-one (or 2x2 Woodbury)
 inversions.  Two batched kernels do all of that algebra for the package:
 
 * :func:`fiber_resolvent` -- diag(a) + u u^T per fiber row (the zero-field
-  symbol, the linear background solve, the quadratic block-spin step),
+  symbol, the linear background solve),
 * :func:`well_resolvent` -- blockdiag(D) + (u x I)(u x I)^T with 2x2 blocks D
   (the well symbol and the linearized well solve).
 
-Both follow one pole rule: a row may hold at most one zero of its diagonal
+The quadratic block-spin step (:func:`blockspin.flow.block_spin_step`)
+contracts the rank-one factor of the first on the grid as it lies.  All
+three follow one pole rule: a row may hold at most one zero of its diagonal
 (|a_j|, or |det D_j|, below the smallest normal float, where the reciprocal
 overflows), and that entry must carry live averaging weight; the row is then
 solved in closed form (its scalar factor is 0).  Any other vanishing pattern
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice_ops import SHARP, AveragingProfile, profile_axis_symbol
-from .torus import LatticeError, TorusShape, _fits, block_momenta, fiber_momenta, fiber_momenta_at, make_shape
+from .torus import LatticeError, TorusShape, block_momenta, fiber_momenta, fiber_momenta_at, make_shape
 
 __all__ = [
     "NumericalError",
@@ -116,15 +118,12 @@ def _components(p) -> tuple[np.ndarray, ...]:
 # elementary symbols
 # ---------------------------------------------------------------------------
 
-def averaging_symbol(p, shape: TorusShape, profile: AveragingProfile = SHARP, buffer: np.ndarray | None = None):
+def averaging_symbol(p, shape: TorusShape, profile: AveragingProfile = SHARP):
     """Fourier transform of the fine box-averaging kernel at momentum p.
 
     Product over axes of sin(p/2) / ((1/eps) sin(eps*p/2)) raised to the
     profile exponent; removable singularities handled by series expansion.
-    p is four per-axis components or a (..., 4) array.  The time factor is
-    multiplied last, so over a slab of fiber time rows the product costs
-    one pass.  A C-contiguous float ``buffer`` of the result's shape is
-    overwritten and returned (as in :func:`blockspin.torus.fiber_split`).
+    p is four per-axis components or a (..., 4) array.
     """
     p = _components(p)
     blens = (shape.mt, shape.mx, shape.mx, shape.mx)
@@ -132,10 +131,7 @@ def averaging_symbol(p, shape: TorusShape, profile: AveragingProfile = SHARP, bu
     space = np.ones(())
     for axis in (1, 2, 3):
         space = space * profile_axis_symbol(spac[axis] * p[axis], blens[axis], profile.exponent)
-    time = profile_axis_symbol(spac[0] * p[0], blens[0], profile.exponent)
-    if buffer is not None and _fits(buffer, np.broadcast_shapes(space.shape, time.shape), space.dtype):
-        return np.multiply(space, time, out=buffer)
-    return space * time
+    return space * profile_axis_symbol(spac[0] * p[0], blens[0], profile.exponent)
 
 
 def _spatial_stencil(p: tuple[np.ndarray, ...], eps_x: float) -> np.ndarray:
@@ -213,16 +209,38 @@ def _singular_row(row: tuple[int, ...], why: str) -> NumericalError:
 
 
 def _raise_at(bad: np.ndarray, why: str) -> None:
+    """Raise naming the first flagged row by its flat index over the row axes."""
     if np.any(bad):
-        raise _singular_row(tuple(int(i) for i in np.argwhere(bad)[0]), why)
+        raise _singular_row((int(np.flatnonzero(bad)[0]),), why)
 
 
-def _pole_rows(pole: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Rows holding one pole; raises on any other vanishing pattern."""
-    count = pole.sum(axis=-1)
-    _raise_at((count > 1) | (pole & (np.abs(u) <= _DEAD_WEIGHT)).any(axis=-1),
+def _pole_rows(diag: np.ndarray, weight, axes=-1):
+    """The pole rule on the fiber rows of ``diag``, whose entries run along
+    its block ``axes`` (the other axes are the rows).
+
+    An entry is a pole when |diag| is below _POLE, where its reciprocal
+    overflows.  A row may hold one pole, and only where the averaging weight
+    is live (|u| above _DEAD_WEIGHT); any other pattern raises naming the
+    row.  ``weight()`` returns u, broadcasting against ``diag``; it runs only
+    when some entry is a pole.  Returns (pole, has), the pole entries and the
+    rows holding one, or (None, None) when no entry is a pole.
+    """
+    pole = np.abs(diag) < _POLE
+    if not pole.any():
+        return None, None
+    count = pole.sum(axis=axes)
+    _raise_at((count > 1) | (pole & (np.abs(weight()) <= _DEAD_WEIGHT)).any(axis=axes),
               "more than one pole, or a pole without averaging weight")
-    return count == 1
+    return pole, count == 1
+
+
+def _resummed(one_s: np.ndarray, has: np.ndarray | None) -> np.ndarray:
+    """sigma = 1 / one_s per row, the rank-one factor, and 0 on the rows
+    ``has`` holding a pole (None: no row does); raises where one_s vanishes
+    off them."""
+    off = True if has is None else ~has
+    _raise_at((np.abs(one_s) < _SINGULAR) & off, "the resummation factor vanishes")
+    return np.divide(1.0, one_s, out=np.zeros_like(one_s), where=off)
 
 
 def fiber_resolvent(a: np.ndarray, u: np.ndarray, rhs: np.ndarray | None = None):
@@ -235,30 +253,26 @@ def fiber_resolvent(a: np.ndarray, u: np.ndarray, rhs: np.ndarray | None = None)
     / a_l off the pole and x_j = (u.x - sum_{l != j} u_l x_l) / u_j.  When
     no entry is a pole the per-entry pole bookkeeping is skipped; the values
     are the same.  1-D ``a``, ``u`` (and ``rhs``) are one row, solved as a
-    batch of one.  Errors name the row in the batch; a caller that streams
-    its rows in slabs re-bases them (:func:`_row_batches`).
+    batch of one.  Errors name the row by its flat index over the batch
+    axes; a caller that streams its rows in slabs re-bases them
+    (:func:`_row_batches`).
     """
     if a.ndim == 1:
         out = fiber_resolvent(a[None], u[None], None if rhs is None else rhs[None])
         return out[0] if rhs is None else (out[0][0], out[1][0])
-    pole = np.abs(a) < _POLE
-    poles = bool(pole.any())
-    if poles:
-        has = _pole_rows(pole, u)
-        inv_a = np.divide(1.0, a, out=np.zeros(a.shape, dtype=complex), where=~pole)
-    else:
-        has = np.zeros(a.shape[:-1], dtype=bool)
+    pole, has = _pole_rows(a, lambda: u)
+    if pole is None:
         inv_a = np.divide(1.0, a, dtype=complex)
-    one_s = 1.0 + np.einsum("...j,...j,...j->...", u, u, inv_a)  # no u^2 temporary
-    _raise_at((np.abs(one_s) < _SINGULAR) & ~has, "the resummation factor vanishes")
-    sigma = np.divide(1.0, one_s, out=np.zeros_like(one_s), where=~has)
+    else:
+        inv_a = np.divide(1.0, a, out=np.zeros(a.shape, dtype=complex), where=~pole)
+    sigma = _resummed(1.0 + np.einsum("...j,...j,...j->...", u, u, inv_a), has)  # no u^2 temporary
     if rhs is None:
         return sigma
     ux = sigma * np.einsum("...j,...j->...", u * rhs, inv_a)
-    if poles:
+    if pole is not None:
         ux[has] = rhs[pole] / u[pole]
     x = (rhs - u * ux[..., None]) * inv_a
-    if poles:
+    if pole is not None:
         x[pole] = (ux - np.einsum("...j,...j->...", u, x))[has] / u[pole]
     return sigma, x
 
@@ -274,8 +288,9 @@ def well_resolvent(D: np.ndarray, u: np.ndarray, w: np.ndarray | None = None):
     c_l = u_l D_l^(-1) y off the pole and c_j = (w - (I + R) y) / u_j on it.
     """
     det = _det2(D)
-    pole = np.abs(det) < _POLE
-    has = _pole_rows(pole, u)
+    pole, has = _pole_rows(det, lambda: u)
+    if pole is None:
+        pole, has = np.zeros(det.shape, dtype=bool), np.zeros(det.shape[:-1], dtype=bool)
     g = np.divide(u, det, out=np.zeros(det.shape, dtype=complex), where=~pole)  # u_l / det D_l
     R = _adj2(np.einsum("...j,...jab->...ab", u * g, D))  # sum u_l^2 adj(D_l) / det D_l
     eye = np.eye(2)

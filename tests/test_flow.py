@@ -35,6 +35,16 @@ def test_heat_minus_mu_grid_is_heat_symbol(ext):
     np.testing.assert_allclose(grid, heat_symbol(k, shape, 2.5, "discrete") - 0.3, rtol=0, atol=1e-12)
 
 
+def test_heat_minus_mu_grid_on_non_cubic_extents():
+    # each extent sets its own axis's momenta: the per-axis formula, entry by entry
+    ext, mu, d = (6, 4, 5, 7), 0.3, 0.5
+    grid = QuadraticAction.from_heat_minus_mu(ext, mu=mu, d=d).symbol_grid
+    for idx in itertools.product(*map(range, ext)):
+        k = [2.0 * np.pi * i / N for i, N in zip(idx, ext)]
+        want = -d * (np.exp(1j * k[0]) - 1.0) + sum(2.0 - 2.0 * np.cos(ka) for ka in k[1:]) - mu
+        assert abs(grid[idx] - want) <= 1e-12
+
+
 def test_block_prefactor_values():
     assert flow_params_at(1, 1e-5, 1e-5, 3).a == 1.0
     assert flow_params_at(2, 1e-5, 1e-5, 3).a == 0.9  # (8/9)/(80/81) exactly
@@ -138,6 +148,20 @@ def test_step_pole_rows_in_a_later_slab(monkeypatch, profile):
     np.testing.assert_allclose(sliced, whole, rtol=1e-14, atol=0)
     with pytest.raises(NumericalError, match=r"fiber row \(28,\)"):
         block_spin_step(QuadraticAction(act.extents, two), 3, profile)
+
+
+@pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
+def test_step_pole_without_weight_names_its_row(monkeypatch, profile):
+    # fine mode (2,0,0,0) of (18,9,9,9) is block (1,0,0,0) of the K = 0 fiber, where both
+    # profiles vanish: a zero there is a pole without averaging weight
+    grid = QuadraticAction.from_heat_minus_mu((18, 9, 9, 9), mu=0.3).symbol_grid.copy()
+    grid[2, 0, 0, 0] = 0.0
+    act = QuadraticAction(grid.shape, grid)
+    with pytest.raises(NumericalError, match=r"fiber row \(0,\) singular: more than one pole, or a pole without"):
+        block_spin_step(act, 3, profile)
+    monkeypatch.setattr(symbols, "_BATCH_ENTRIES", 1)  # one time row per slab
+    with pytest.raises(NumericalError, match=r"fiber row \(0,\)"):
+        block_spin_step(act, 3, profile)
 
 
 def test_chain_step_streams_in_small_memory():
