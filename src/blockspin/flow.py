@@ -11,6 +11,10 @@ fiber, and since box averaging is a product of one-dimensional box averages,
 u^2 is a product of per-axis tables: the step contracts them with the input
 grid in its own layout, slab by slab, without gathering the fibers.
 
+Localization splits a kernel into a mass and per-axis derivative kernels,
+one (4,) + extents array in FFT index order: kernels[axis][z mod N] is the
+coefficient at offset z, and applying one is one multiply by its symbol.
+
 The chemical-potential trace is quadratic-level bookkeeping: the step's
 zero-momentum remainder feeds a fixed-point update mu_{n+1} = L^2 mu_n +
 correction(mu_{n+1}).  It mirrors, but does not reproduce, the full flow,
@@ -161,10 +165,6 @@ class QuadraticAction:
         grid = -d * (np.exp(1j * k[0]) - 1.0)[:, None, None, None] + space
         return cls(tuple(extents), grid, provenance=f"heat-mu (mu={mu}, d={d})")
 
-    def mass(self) -> complex:
-        """Negative of the zero-momentum symbol value."""
-        return -complex(self.symbol_grid[(0,) * len(self.extents)])
-
 
 def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile = SHARP) -> QuadraticAction:
     """One exact quadratic-level block-spin step.
@@ -261,16 +261,18 @@ def block_spin_step_dense(action: QuadraticAction, L: int, profile: AveragingPro
 
 # entries at or below this many machine epsilons of max|K| are FFT round-off
 _ROUNDOFF_CUT = 64.0 * np.finfo(float).eps
+_IMAG_MASS_TOL = 1e-10  # a mass whose imaginary part exceeds this times max(1, |mass|) warns
 
 
-def localize_quadratic(action: QuadraticAction, tol: float = 1e-10):
+def localize_quadratic(action: QuadraticAction):
     """Split the quadratic kernel into a local mass and derivative parts.
 
     For any translation-invariant kernel K the form <psi_star, K psi>_0
     equals scalar * <psi_star, psi>_0 plus sum_axis <psi_star, K_axis
     (forward-difference psi)>_0, by telescoping each kernel displacement
-    along a fixed axis-ordered lattice path.  Returns (scalar, kernels)
-    with kernels[axis] a dict offset -> coefficient.
+    along a fixed axis-ordered lattice path.  Returns (scalar, kernels), with
+    kernels shaped (4,) + extents in the FFT index order of fftn(symbol_grid):
+    kernels[axis][z mod N] is K_axis's coefficient at offset z.
 
     A displacement z contributes to K_axis at offsets (z_0, ..., z_(axis-1),
     t, 0, ...), with +K(z) for 0 <= t < z_axis and -K(z) for z_axis <= t < 0.
@@ -280,10 +282,9 @@ def localize_quadratic(action: QuadraticAction, tol: float = 1e-10):
 
     The split is linear in K.  Kernel entries and summed derivative
     coefficients at or below round-off relative to max|K(z)| (a small
-    multiple of machine epsilon times it) are FFT noise and are dropped,
+    multiple of machine epsilon times it) are FFT noise and are exactly 0,
     so localizing c*K gives c times the kernels of K with the same support
-    at any scale c.  ``tol`` only bounds the imaginary part of the mass
-    before it warns.
+    at any scale c.  A mass with a non-negligible imaginary part warns.
     """
     grid = action.symbol_grid
     scalar_c = complex(grid[(0,) * grid.ndim])
@@ -294,7 +295,7 @@ def localize_quadratic(action: QuadraticAction, tol: float = 1e-10):
     # roll each axis into increasing representatives of (-N/2, N/2]: index i holds i - zero[axis]
     zero = [(N - 1) // 2 for N in action.extents]
     kernel = np.roll(kernel, zero, axis=(0, 1, 2, 3))
-    kernels = []
+    kernels = np.zeros((4,) + grid.shape, dtype=complex)
     for axis in range(4):
         marginal = np.moveaxis(kernel.sum(axis=tuple(range(axis + 1, 4))), axis, -1)
         p = zero[axis]
@@ -304,26 +305,23 @@ def localize_quadratic(action: QuadraticAction, tol: float = 1e-10):
             np.cumsum(marginal[..., :p:-1], axis=-1)[..., ::-1],
             np.zeros(marginal.shape[:-1] + (1,), dtype=complex),
         ], axis=-1), -1, axis)
-        live = np.nonzero(np.abs(deriv) > cut)
-        offsets = np.zeros((live[0].size, 4), dtype=int)
-        offsets[:, : axis + 1] = np.stack(live, axis=1) - zero[: axis + 1]
-        kernels.append(dict(zip(map(tuple, offsets.tolist()), deriv[live].tolist())))
-    if abs(scalar_c.imag) > tol * max(1.0, abs(scalar_c)):
+        deriv[np.abs(deriv) <= cut] = 0.0
+        kernels[(axis, Ellipsis) + tuple(zero[axis + 1 :])] = deriv  # offset 0 on the later axes
+    kernels = np.roll(kernels, [-z for z in zero], axis=(1, 2, 3, 4))  # back to FFT order
+    if abs(scalar_c.imag) > _IMAG_MASS_TOL * max(1.0, abs(scalar_c)):
         warnings.warn(f"localized mass has imaginary part {scalar_c.imag:.3e}")
     return scalar_c.real, kernels
 
 
-def apply_offset_kernel(kern: dict, f: Field) -> Field:
-    """(K f)(x) = sum_z K(z) f(x + z) for a sparse offset kernel.
+def apply_offset_kernel(kern: np.ndarray, f: Field) -> Field:
+    """(K f)(x) = sum_z K(z) f(x + z), with kern[z mod N] = K(z) shaped like f.
 
-    Applied as one multiply by the kernel's symbol sum_z K(z) exp(+i k z)
-    on the field's FFT grid (offsets wrap around the torus).
+    One multiply by the symbol sum_z K(z) exp(+i k z) = ifftn(kern) * kern.size
+    on the field's FFT grid.
     """
-    ext = f.values.shape
-    grid = np.zeros(ext, dtype=complex)
-    offsets = np.array(list(kern), dtype=int).reshape(-1, 4) % ext
-    np.add.at(grid, tuple(offsets.T), np.array(list(kern.values()), dtype=complex))
-    symbol = np.fft.ifftn(grid) * grid.size
+    if kern.shape != f.values.shape:
+        raise LatticeError(f"kernel shaped {kern.shape}, field shaped {f.values.shape}")
+    symbol = np.fft.ifftn(kern) * kern.size
     return f.with_values(np.fft.ifftn(np.fft.fftn(f.values) * symbol))
 
 

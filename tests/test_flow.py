@@ -186,11 +186,31 @@ def test_step_divisibility_guard():
         block_spin_step(QuadraticAction.from_heat_minus_mu((9, 3, 3, 6), mu=0.1), 3)
 
 
+def _offsets(kern):
+    """Nonzero entries of an FFT-order kernel keyed by symmetric offsets in (-N/2, N/2]."""
+    ext = np.array(kern.shape)
+    return {tuple(((np.array(i) + (ext - 1) // 2) % ext - (ext - 1) // 2).tolist()): complex(kern[i])
+            for i in zip(*np.nonzero(kern))}
+
+
+def _reconstruction_gap(act, kernels, scalar, rng):
+    """|<psi_star, K psi> - scalar <psi_star, psi> - sum_axis <psi_star, K_axis d_axis psi>| and |lhs|."""
+    shape = make_shape(0, 3, act.extents[0], act.extents[1])
+    psi_star = Field.random(shape, "unit", rng)
+    psi = Field.random(shape, "unit", rng)
+    lhs = quadratic_action_form(act, psi_star, psi)
+    rhs = scalar * inner_product(psi_star, psi)
+    for axis in range(4):
+        rhs += inner_product(psi_star, apply_offset_kernel(kernels[axis], forward_difference(psi, axis)))
+    return abs(lhs - rhs), abs(lhs)
+
+
 def test_localize_identity_kernel():
     grid = np.full(EXT, 0.7, dtype=complex)  # K = 0.7 * identity
     scalar, kernels = localize_quadratic(QuadraticAction(EXT, grid))
     assert scalar == pytest.approx(0.7)
-    assert all(len(k) == 0 for k in kernels)
+    assert kernels.shape == (4,) + EXT
+    assert all(len(_offsets(k)) == 0 for k in kernels)
 
 
 def test_localize_forward_time_shift():
@@ -199,9 +219,9 @@ def test_localize_forward_time_shift():
     k0 = np.meshgrid(*axes, indexing="ij")[0]
     scalar, kernels = localize_quadratic(QuadraticAction(EXT, np.exp(1j * k0)))
     assert scalar == pytest.approx(1.0, abs=1e-12)
-    assert set(kernels[0]) == {(0, 0, 0, 0)}
-    assert kernels[0][(0, 0, 0, 0)] == pytest.approx(1.0)
-    assert all(len(kernels[a]) == 0 for a in (1, 2, 3))
+    assert set(_offsets(kernels[0])) == {(0, 0, 0, 0)}
+    assert kernels[0][0, 0, 0, 0] == pytest.approx(1.0)
+    assert all(len(_offsets(kernels[a])) == 0 for a in (1, 2, 3))
 
 
 @pytest.mark.parametrize("c", [1e-20, 1e3])
@@ -214,14 +234,14 @@ def test_localize_scale_equivariant(c):
     scalar_c, kernels_c = localize_quadratic(QuadraticAction(EXT, c * np.exp(1j * k0)))
     assert scalar_c == pytest.approx(c * scalar, rel=1e-12)
     for axis in range(4):
-        assert set(kernels_c[axis]) == set(kernels[axis])
-        for off, coeff in kernels[axis].items():
-            assert kernels_c[axis][off] == pytest.approx(c * coeff, rel=1e-12)
+        offs, offs_c = _offsets(kernels[axis]), _offsets(kernels_c[axis])
+        assert set(offs_c) == set(offs)
+        for off, coeff in offs.items():
+            assert offs_c[off] == pytest.approx(c * coeff, rel=1e-12)
 
 
 def test_localize_reconstruction_random_kernel():
     rng = np.random.default_rng(1)
-    shape = make_shape(0, 3, 9, 3)
     # random finite-support kernel -> symbol grid
     kern = np.zeros(EXT, dtype=complex)
     for _ in range(12):
@@ -229,36 +249,32 @@ def test_localize_reconstruction_random_kernel():
         kern[idx] = rng.standard_normal() + 1j * rng.standard_normal()
     grid = np.fft.fftn(kern)
     act = QuadraticAction(EXT, grid)
-    scalar_c = complex(grid[0, 0, 0, 0])
-    kernel_full = np.fft.ifftn(grid)
     # reconstruction: <psi_star, K psi> = scalar <psi_star, psi> + sum_axis <psi_star, K_axis d_axis psi>
     _, kernels = localize_quadratic(act)
-    psi_star = Field.random(shape, "unit", rng)
-    psi = Field.random(shape, "unit", rng)
-    lhs = quadratic_action_form(act, psi_star, psi)
-    rhs = scalar_c * inner_product(psi_star, psi)
-    for axis in range(4):
-        dpsi = forward_difference(psi, axis)
-        rhs += inner_product(psi_star, apply_offset_kernel(kernels[axis], dpsi))
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    gap, lhs = _reconstruction_gap(act, kernels, complex(grid[0, 0, 0, 0]), rng)
+    assert gap <= 1e-12 * max(1.0, lhs)
 
 
 def test_localize_reconstruction_dense_even_grid():
     # every entry of the kernel is live, and even extents carry the +N/2 representative
     rng = np.random.default_rng(2)
     ext = (8, 4, 4, 4)
-    shape = make_shape(0, 3, 8, 4)
     grid = rng.standard_normal(ext) + 1j * rng.standard_normal(ext)
     act = QuadraticAction(ext, grid)
     with pytest.warns(UserWarning):  # a random kernel's mass is complex
         _, kernels = localize_quadratic(act)
-    psi_star = Field.random(shape, "unit", rng)
-    psi = Field.random(shape, "unit", rng)
-    lhs = quadratic_action_form(act, psi_star, psi)
-    rhs = complex(grid[0, 0, 0, 0]) * inner_product(psi_star, psi)
-    for axis in range(4):
-        rhs += inner_product(psi_star, apply_offset_kernel(kernels[axis], forward_difference(psi, axis)))
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    gap, lhs = _reconstruction_gap(act, kernels, complex(grid[0, 0, 0, 0]), rng)
+    assert gap <= 1e-12 * max(1.0, lhs)
+
+
+@pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
+def test_localize_chain_step_output(profile):
+    # the flow chain's first output: (243,27,27,27) steps to (27,9,9,9)
+    act = block_spin_step(QuadraticAction.from_heat_minus_mu((243, 27, 27, 27), 0.05), 3, profile)
+    scalar, kernels = localize_quadratic(act)
+    assert scalar == act.symbol_grid[0, 0, 0, 0].real
+    gap, lhs = _reconstruction_gap(act, kernels, scalar, np.random.default_rng(5))
+    assert gap <= 1e-12 * max(1.0, lhs)
 
 
 def test_localize_single_displacement_path():
@@ -276,20 +292,31 @@ def test_localize_single_displacement_path():
         {},
         {(2, -1, 0, 0): v, (2, -1, 0, 1): v},
     ]
+    assert kernels[1][2, -1, 0, 0] == pytest.approx(-v, abs=1e-15)  # offsets index the array directly
     for axis in range(4):
-        assert set(kernels[axis]) == set(want[axis])
+        offs = _offsets(kernels[axis])
+        assert set(offs) == set(want[axis])
         for off, c in want[axis].items():
-            assert kernels[axis][off] == pytest.approx(c, abs=1e-15)
+            assert offs[off] == pytest.approx(c, abs=1e-15)
 
 
 def test_apply_offset_kernel_matches_shifts():
     rng = np.random.default_rng(4)
     f = Field.random(make_shape(0, 3, 4, 3), "unit", rng)
     # (0, 0, 0, 5) wraps onto (0, 0, 0, 2)
-    kern = {(1, 0, 0, 0): 2.0, (0, -1, 0, 0): 1j, (0, 0, 0, 5): 0.5, (-3, 1, 2, -1): -0.7 + 0.1j}
-    want = sum(c * np.roll(f.values, tuple(-o for o in off), axis=(0, 1, 2, 3)) for off, c in kern.items())
+    coeffs = {(1, 0, 0, 0): 2.0, (0, -1, 0, 0): 1j, (0, 0, 0, 5): 0.5, (-3, 1, 2, -1): -0.7 + 0.1j}
+    kern = np.zeros(f.values.shape, dtype=complex)
+    for off, c in coeffs.items():
+        kern[tuple(np.mod(off, f.values.shape))] += c
+    want = sum(c * np.roll(f.values, tuple(-o for o in off), axis=(0, 1, 2, 3)) for off, c in coeffs.items())
     np.testing.assert_allclose(apply_offset_kernel(kern, f).values, want, rtol=0, atol=1e-14)
-    assert np.all(apply_offset_kernel({}, f).values == 0.0)
+    assert np.all(apply_offset_kernel(np.zeros_like(kern), f).values == 0.0)
+
+
+def test_apply_offset_kernel_rejects_mismatched_shape():
+    f = Field.random(make_shape(0, 3, 4, 3), "unit", np.random.default_rng(4))
+    with pytest.raises(LatticeError, match=r"kernel shaped \(4, 3, 3, 4\), field shaped \(4, 3, 3, 3\)"):
+        apply_offset_kernel(np.zeros((4, 3, 3, 4), dtype=complex), f)
 
 
 def test_renormalize_mu_trivial_corrections():

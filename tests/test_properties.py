@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from blockspin import symbols
 from blockspin.background import ModelParams, _direct_operator, _FiberOperator
-from blockspin.flow import QuadraticAction, block_spin_step, block_spin_step_dense
-from blockspin.lattice_ops import SHARP, SMOOTH
+from blockspin.flow import (QuadraticAction, apply_offset_kernel, block_spin_step, block_spin_step_dense,
+                            localize_quadratic, quadratic_action_form)
+from blockspin.lattice_ops import SHARP, SMOOTH, forward_difference
 from blockspin.symbols import (
     NumericalError,
     fiber_resolvent,
@@ -25,7 +26,7 @@ from blockspin.symbols import (
     zero_field_symbol,
     zero_field_symbol_dense,
 )
-from blockspin.torus import Field, dual_modes, make_shape, radians_for_modes
+from blockspin.torus import Field, dual_modes, inner_product, make_shape, radians_for_modes
 
 shapes = st.tuples(st.just(3), st.sampled_from([3, 9]), st.sampled_from([1, 3]))  # (L, Nt, Nx)
 mus = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
@@ -194,3 +195,28 @@ def test_fiber_apply_matches_direct_operator(profile, transpose, dims, mu, d, se
     f = Field.random(s, "fine", np.random.default_rng(seed))
     fast = _FiberOperator(s, params, profile).apply_field(f.values, transpose)
     _close(fast, _direct_operator(f, profile, params, transpose), tol=1e-12)
+
+
+@given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 6), st.integers(0, 2**16))
+def test_localize_reconstructs_random_kernel(nt, nx, entries, seed):
+    # a random finite-support kernel on (Nt, Nx, Nx, Nx), odd and even extents alike;
+    # its mass is made real by the zero offset so that no imaginary-mass warning fires
+    rng = np.random.default_rng(seed)
+    ext = (nt, nx, nx, nx)
+    kern = np.zeros(ext, dtype=complex)
+    for _ in range(entries):
+        kern[tuple(rng.integers(0, n) for n in ext)] += rng.standard_normal() + 1j * rng.standard_normal()
+    kern[0, 0, 0, 0] -= 1j * np.sum(kern).imag
+    act = QuadraticAction(ext, np.fft.ifftn(kern) * kern.size)
+    scalar, kernels = localize_quadratic(act)
+    shape = make_shape(0, 3, nt, nx)
+    psi_star = Field.random(shape, "unit", rng)
+    psi = Field.random(shape, "unit", rng)
+    lhs = quadratic_action_form(act, psi_star, psi)
+    rhs = scalar * inner_product(psi_star, psi)
+    for axis in range(4):
+        rhs += inner_product(psi_star, apply_offset_kernel(kernels[axis], forward_difference(psi, axis)))
+        later = np.ones(ext, dtype=bool)  # offsets with a nonzero coordinate after this axis
+        later[(slice(None),) * (axis + 1) + (0,) * (3 - axis)] = False
+        assert np.all(kernels[axis][later] == 0.0)
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
