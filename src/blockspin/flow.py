@@ -9,7 +9,9 @@ rescaling (k0, kvec) -> (k0/L^2, kvec/L) and the L^(+-3/2) amplitudes.
 That complement is the rank-one factor 1 / (1 + sum u^2 / symbol) of each
 fiber, and since box averaging is a product of one-dimensional box averages,
 u^2 is a product of per-axis tables: the step contracts them with the input
-grid in its own layout, slab by slab, without gathering the fibers.
+grid in its own layout, slab by slab, without gathering the fibers.  Large
+slabs run on one thread per usable core, and only numpy and the pole helpers
+run off the caller's thread.
 
 Localization splits a kernel into a mass and per-axis derivative kernels,
 one (4,) + extents array in FFT index order: kernels[axis][z mod N] is the
@@ -29,6 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import symbols
 from .action import well_geometry
 from .lattice_ops import (SHARP, AveragingProfile, block_average, block_average_adjoint, operator_matrix,
                           profile_axis_symbol)
@@ -166,6 +169,13 @@ class QuadraticAction:
         return cls(tuple(extents), grid, provenance=f"heat-mu (mu={mu}, d={d})")
 
 
+def _quotient(w: np.ndarray, a: np.ndarray, pole: np.ndarray | None) -> np.ndarray:
+    """w / a, and 0 at the pole entries of a (None: a holds none)."""
+    if pole is None:
+        return w / a
+    return np.divide(w, a, out=np.zeros(a.shape, dtype=complex), where=~pole)
+
+
 def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile = SHARP) -> QuadraticAction:
     """One exact quadratic-level block-spin step.
 
@@ -187,7 +197,17 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     axis is contracted with its table: no fiber copy of the grid and no
     full-grid weight array is made.  The grid streams in slabs of whole
     output time rows, as many as fit in ``symbols._BATCH_ENTRIES`` fiber
-    entries but at least one, so the temporaries stay at a few MB.
+    entries but at least one.  A slab that fits is divided whole.  A larger
+    one (one time row, 177k entries on a (243,27,27,27) grid) is divided one
+    x block at a time into one accumulator, so its worker holds two 1/mx-slab
+    temporaries (1 MB each there) besides the pole test's.  The sum runs over
+    the x, y and z block axes, then over the time block axis with its table.
+
+    The large slabs run on :func:`blockspin.symbols._row_batches`' pool, one
+    thread per usable core; smaller ones stay on the caller's thread.  The
+    weight tables are built first, so a slab calls only numpy and the pole
+    helpers, and the results are stacked in slab order: the output, and the
+    row a :class:`NumericalError` names, do not depend on the thread count.
 
     The block-spin weight is a/L^2 with a = 1, so one step of the heat
     action gives the scale-1 kernel (1 + S)^-1 of
@@ -214,14 +234,19 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     def slab(time_rows: slice) -> np.ndarray:
         a = grid[:, time_rows]
         pole, has = _pole_rows(a, lambda: np.sqrt(np.multiply.outer(time2[:, time_rows], space2)), (0, 2, 4, 6))
-        if pole is None:
-            q = space2 / a
-        else:
-            q = np.divide(space2, a, out=np.zeros(a.shape, dtype=complex), where=~pole)
-        space_sum = np.einsum("tiajbkcl->tijkl", q)  # faster than q.sum over axes (2, 4, 6)
+        if a.size <= symbols._BATCH_ENTRIES:
+            acc = _quotient(space2, a, pole)
+        else:  # one x block at a time into one accumulator
+            def block(x: int) -> np.ndarray:
+                return _quotient(space2[x:x + 1], a[:, :, x:x + 1], None if pole is None else pole[:, :, x:x + 1])
+
+            acc = block(0)
+            for x in range(1, mx):
+                acc += block(x)
+        space_sum = np.einsum("tiajbkcl->tijkl", acc)
         return _resummed(1.0 + np.einsum("ti,tijkl->ijkl", time2[:, time_rows], space_sum), has).reshape(-1)
 
-    sigma = _row_batches(nt, action.symbol_grid.size // nt, slab)
+    sigma = _row_batches(nt, action.symbol_grid.size // nt, slab, pooled=True)
     return QuadraticAction(out.unit_extents, sigma.reshape(out.unit_extents), provenance=f"step({action.provenance})")
 
 
@@ -363,7 +388,14 @@ def renormalize_mu(flow: FlowParams, correction, tol: float = 1e-12, max_iter: i
     mu -> L^2 * flow.mu + correction(mu).
 
     The correction map's contraction property is estimated by sampling a
-    difference quotient near L^2 * flow.mu before iterating.
+    difference quotient near L^2 * flow.mu before iterating.  The iteration
+    raises :class:`NumericalError` as soon as a gap |mu_(k+1) - mu_k| is no
+    smaller than the gap before it: the orbit has stopped contracting, as it
+    does for the quadratic correction mu^2/(1 - mu) when the base exceeds
+    3 - 2 sqrt 2 and there is no fixed point.  Below its smaller fixed point
+    the map base + mu^2/(1 - mu) is convex and increasing, so a converging
+    orbit's gaps shrink monotonically.  An orbit still moving after
+    ``max_iter`` steps raises too.
     """
     Lsq = float(flow.L * flow.L)
     base = Lsq * flow.mu
@@ -373,12 +405,16 @@ def renormalize_mu(flow: FlowParams, correction, tol: float = 1e-12, max_iter: i
     lip = abs(correction(base + h) - correction(base - h)) / (2.0 * h)
     if lip >= 1.0:
         raise NumericalError(f"chemical-potential correction is not a contraction (estimate {lip:.3f})")
-    mu = base
+    mu, last_gap = base, math.inf
     for _ in range(max_iter):
         nxt = base + correction(mu)
-        if abs(nxt - mu) <= tol * max(1.0, abs(nxt)):
+        gap = abs(nxt - mu)
+        if gap <= tol * max(1.0, abs(nxt)):
             return float(nxt)
-        mu = nxt
+        if gap >= last_gap:
+            raise NumericalError(f"chemical-potential iteration stopped contracting at mu = {nxt:.6g} "
+                                 f"(gap {gap:.3g} after {last_gap:.3g})")
+        mu, last_gap = nxt, gap
     raise NumericalError("chemical-potential fixed point did not converge")
 
 
@@ -393,7 +429,8 @@ class FlowStep:
     ``stop`` is None except on a trace's last row, where it says why the
     trace ended: "max_steps", "stop_mu", or "renormalize_mu: " and the
     solver's message when the next scale's chemical potential has no
-    self-consistent value.
+    self-consistent value ("... is not a contraction", "... stopped
+    contracting at mu = ...", or "... did not converge").
     """
 
     params: FlowParams
@@ -426,7 +463,9 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
     L | Nx), else :class:`LatticeError`.  When the next scale's fixed point
     does not exist or its correction is not a contraction (near the
     correction's pole at input mu = L^-2), the trace ends at the last good
-    scale.  The last row's ``stop`` records why the trace ended.
+    scale: the sampled contraction test fails, or the fixed-point orbit
+    stops contracting (see :func:`renormalize_mu`).  The last row's
+    ``stop`` records why the trace ended.
     """
     n_last = max_steps(v0, L)
     if steps is not None:

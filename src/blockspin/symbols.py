@@ -43,6 +43,8 @@ continuum form as eps -> 0.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -316,7 +318,21 @@ def well_resolvent(D: np.ndarray, u: np.ndarray, w: np.ndarray | None = None):
 _BATCH_ENTRIES = 1 << 14
 
 
-def _row_batches(count: int, row_entries: int, rows, index_shape: tuple[int, ...] = ()) -> np.ndarray:
+def _new_pool() -> None:
+    """One thread per usable core for :func:`_row_batches`; numpy releases
+    the GIL in its array loops."""
+    global _POOL
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    _POOL = ThreadPoolExecutor(cores, thread_name_prefix="blockspin-batches")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads: a pool of its own
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+def _row_batches(count: int, row_entries: int, rows, index_shape: tuple[int, ...] = (),
+                 pooled: bool = False) -> np.ndarray:
     """rows(s) over consecutive slices s of range(count), stacked along axis 0.
 
     Each slice holds max(1, _BATCH_ENTRIES // row_entries) items of
@@ -324,20 +340,31 @@ def _row_batches(count: int, row_entries: int, rows, index_shape: tuple[int, ...
     fiber row of the kernel it runs, so a :class:`NumericalError` naming row
     (r,) of a batch is re-raised naming the caller's row: the rows stacked
     before the batch plus r, unravelled to ``index_shape`` when given.
+
+    With ``pooled``, rows of more than _BATCH_ENTRIES entries (one per
+    batch, about a millisecond of work each) run on ``_POOL``'s threads when
+    there is more than one.  Such rows must be thread-safe and call only
+    numpy and private helpers, since a span recorder wrapping the package's
+    public functions is single-threaded.  Smaller batches stay on the
+    caller's thread: their short numpy calls gain less than the thread
+    handoffs cost.  Results are taken in batch order either way, so the
+    first failing batch in that order names the row.
     """
     step = max(1, _BATCH_ENTRIES // row_entries)
+    starts = range(0, max(count, 1), step)
+    mapper = _POOL.map if pooled and row_entries > _BATCH_ENTRIES and len(starts) > 1 else map
     parts, done = [], 0
-    for start in range(0, max(count, 1), step):
-        try:
-            parts.append(rows(slice(start, start + step)))
-        except NumericalError as exc:
-            if exc.row is None:
-                raise
-            flat = done + exc.row[0]
-            row = tuple(int(i) for i in np.unravel_index(flat, index_shape)) if index_shape else (flat,)
-            raise _singular_row(row, exc.why) from None
-        done += len(parts[-1])
-    return np.concatenate(parts)
+    try:
+        for part in mapper(lambda start: rows(slice(start, start + step)), starts):
+            parts.append(part)
+            done += len(part)
+    except NumericalError as exc:
+        if exc.row is None:
+            raise
+        flat = done + exc.row[0]
+        row = tuple(int(i) for i in np.unravel_index(flat, index_shape)) if index_shape else (flat,)
+        raise _singular_row(row, exc.why) from None
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _in_batches(k, shape: TorusShape, rows):

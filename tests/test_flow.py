@@ -1,9 +1,16 @@
 import itertools
+import math
+import multiprocessing
+import sys
+import threading
 import tracemalloc
+import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from blockspin import flow
 from blockspin.flow import (
     FlowParams,
     QuadraticAction,
@@ -177,6 +184,69 @@ def test_chain_step_streams_in_small_memory():
     assert peak <= 16 * 2**20
 
 
+@pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
+@pytest.mark.parametrize("ext, batch", [((243, 27, 27, 27), None), ((81, 9, 9, 9), 1 << 12)], ids=["chain", "81"])
+def test_step_pool_matches_serial_map(monkeypatch, ext, batch, profile):
+    # the slabs' results do not depend on which thread ran them; (81,9,9,9)
+    # rows hold 6561 entries, so a smaller batch size sends them to the pool
+    if batch is not None:
+        monkeypatch.setattr(symbols, "_BATCH_ENTRIES", batch)
+    act = QuadraticAction.from_heat_minus_mu(ext, mu=0.05)
+    pool, maps = symbols._POOL, []
+    monkeypatch.setattr(symbols, "_POOL", types.SimpleNamespace(map=lambda f, it: maps.append(1) or pool.map(f, it)))
+    pooled = block_spin_step(act, 3, profile).symbol_grid
+    assert maps == [1]
+    monkeypatch.setattr(symbols, "_POOL", types.SimpleNamespace(map=map))
+    serial = block_spin_step(act, 3, profile).symbol_grid
+    assert np.array_equal(pooled, serial)
+    # more threads than cores, switching often
+    with ThreadPoolExecutor(4) as crowd:
+        monkeypatch.setattr(symbols, "_POOL", crowd)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            crowded = block_spin_step(act, 3, profile).symbol_grid
+        finally:
+            sys.setswitchinterval(interval)
+    assert np.array_equal(crowded, serial)
+
+
+def test_step_calls_traced_names_on_the_callers_thread(monkeypatch):
+    # a span recorder wrapping these names is single-threaded: the pooled slabs must not call them
+    seen = []
+
+    def on_thread(name, fn):
+        def wrapped(*args, **kwargs):
+            seen.append((name, threading.get_ident()))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    names = ("profile_axis_symbol", "fiber_momenta")
+    for name in names:
+        monkeypatch.setattr(flow, name, on_thread(name, getattr(flow, name)))
+    block_spin_step(QuadraticAction.from_heat_minus_mu((243, 27, 27, 27), mu=0.05), 3, SMOOTH)
+    assert {name for name, _ in seen} == set(names)
+    assert {ident for _, ident in seen} == {threading.main_thread().ident}
+
+
+def test_step_runs_in_a_forked_child():
+    # a child forked after the pool has run gets a pool of its own, not its parent's dead threads
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork on this platform")
+    ctx = multiprocessing.get_context("fork")
+    act = QuadraticAction.from_heat_minus_mu((243, 27, 27, 27), mu=0.05)
+    want = block_spin_step(act, 3, SMOOTH).symbol_grid[0, 0, 0, 0]
+    queue = ctx.Queue()
+    child = ctx.Process(target=lambda: queue.put(block_spin_step(act, 3, SMOOTH).symbol_grid[0, 0, 0, 0]))
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+        child.join(timeout=60)
+    finally:
+        child.kill()  # signals only a child still running
+    assert child.exitcode == 0 and got == want
+
+
 def test_step_divisibility_guard():
     act = QuadraticAction.from_heat_minus_mu((4, 4, 4, 4), mu=0.1)
     with pytest.raises(Exception):
@@ -330,6 +400,33 @@ def test_renormalize_mu_flags_non_contraction():
     f = flow_params_at(1, 1e-5, 1e-5, 3)
     with pytest.raises(NumericalError):
         renormalize_mu(f, lambda mu: 2.0 * mu)
+
+
+def _pulled_back_correction(calls):
+    def correction(m):  # the quadratic level's correction in the pulled-back mu
+        calls.append(m)
+        return m * m / (1.0 - m)
+    return correction
+
+
+def test_renormalize_mu_stops_when_the_orbit_stops_contracting():
+    # base B = 0.2 > 3 - 2 sqrt 2: mu = B + mu^2/(1 - mu) has no fixed point, and the
+    # orbit's gaps grow after four steps, long before it crosses the pole at mu = 1
+    calls = []
+    f = flow_params_at(1, 1e-5, 1e-5, 3, mu_override=0.2 / 9)
+    with pytest.raises(NumericalError, match=r"stopped contracting at mu = 0\.34"):
+        renormalize_mu(f, _pulled_back_correction(calls))
+    assert len(calls) <= 10 and max(calls) < 1.0
+
+
+def test_renormalize_mu_converges_just_below_the_tangency():
+    # B = 0.17 < 3 - 2 sqrt 2: the orbit creeps up to the smaller root of
+    # 2 m^2 - (1 + B) m + B = 0 at rate about 0.87, its gaps shrinking all the way
+    B = 0.17
+    f = flow_params_at(1, 1e-5, 1e-5, 3, mu_override=B / 9)
+    root = ((1.0 + B) - math.sqrt((1.0 + B) ** 2 - 8.0 * B)) / 4.0
+    got = renormalize_mu(f, _pulled_back_correction([]), tol=1e-14, max_iter=400)
+    assert abs(got - root) <= 1e-12
 
 
 def test_quadratic_mass_correction_closed_form():
