@@ -9,9 +9,12 @@ rescaling (k0, kvec) -> (k0/L^2, kvec/L) and the L^(+-3/2) amplitudes.
 That complement is the rank-one factor 1 / (1 + sum u^2 / symbol) of each
 fiber, and since box averaging is a product of one-dimensional box averages,
 u^2 is a product of per-axis tables: the step contracts them with the input
-grid in its own layout, slab by slab, without gathering the fibers.  Large
-slabs run on one thread per usable core, and only numpy and the pole helpers
-run off the caller's thread.
+symbol in its own layout, slab by slab, without gathering the fibers.  A
+symbol is a sum of broadcastable terms (the heat operator minus mu is a time
+term plus a space term), and the step sums the terms one slab at a time, so
+the full grid of a chain's first action is never written.  Large slabs run
+on one thread per usable core, and only numpy and the pole helpers run off
+the caller's thread.
 
 Localization splits a kernel into a mass and per-axis derivative kernels,
 one (4,) + extents array in FFT index order: kernels[axis][z mod N] is the
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -139,34 +143,76 @@ def flow_params_at(n: int, mu0: float, v0: float, L: int, eps: float = 0.01,
 class QuadraticAction:
     """Translation-invariant quadratic form on the unit torus.
 
-    symbol_grid holds the kernel's symbol over the dual lattice in FFT index
-    order (translation invariance is built in by the representation).
+    The symbol is the kernel's symbol over the dual lattice in FFT index
+    order (translation invariance is built in by the representation), held
+    as ``terms``: a tuple of complex arrays whose sum broadcasts to
+    ``extents``.  Each term spans an axis whole (extent N) or not at all
+    (extent 1), and together they span every axis; other shapes raise
+    :class:`LatticeError`.  An array passed in place of the tuple is one
+    term, so QuadraticAction(extents, grid) holds that grid.
+    :func:`block_spin_step` sums the terms slab by slab, in order;
+    :attr:`symbol_grid` sums them whole, in the same order, on its first
+    read only.
     """
 
     extents: tuple[int, int, int, int]
-    symbol_grid: np.ndarray
+    terms: tuple[np.ndarray, ...]
     provenance: str = ""
 
     def __post_init__(self):
-        grid = np.asarray(self.symbol_grid, dtype=complex)
-        if grid.shape != tuple(self.extents):
-            raise LatticeError(f"symbol grid shaped {grid.shape}, extents {self.extents}")
-        object.__setattr__(self, "symbol_grid", grid)
-        object.__setattr__(self, "extents", tuple(int(e) for e in self.extents))
+        extents = tuple(map(int, self.extents))
+        terms = tuple([np.asarray(t, dtype=complex) for t in
+                       (self.terms if isinstance(self.terms, tuple) else (self.terms,))])
+        shapes = tuple([t.shape for t in terms])
+        if not _sum_shape_is(shapes, extents):
+            raise LatticeError(f"symbol terms shaped {list(shapes)} do not broadcast to extents {extents}")
+        object.__setattr__(self, "extents", extents)
+        object.__setattr__(self, "terms", terms)
+        if len(terms) == 1:  # its own grid: set here, reads skip cached_property's first-read lock
+            self.__dict__["symbol_grid"] = terms[0]
+
+    @cached_property
+    def symbol_grid(self) -> np.ndarray:
+        """The symbol over the whole dual lattice: the terms' sum, kept after
+        its first read (a one-term action's grid is its term, set at
+        construction)."""
+        grid = self.terms[0]
+        for term in self.terms[1:]:
+            grid = grid + term
+        return grid
 
     @classmethod
     def from_heat_minus_mu(cls, extents, mu: float, d: float = 1.0) -> "QuadraticAction":
-        """Unit-lattice heat symbol minus a mass term, summed from per-axis terms.
+        """Unit-lattice heat symbol minus a mass term, as two per-axis terms.
 
-        The spatial terms and -mu are summed on the small spatial grid, so
-        the full grid is written once, by one broadcast add of the time term.
+        The time term -d (exp(i k0) - 1) is shaped (Nt, 1, 1, 1); the space
+        term, the spatial Laplacian's symbol minus mu, is shaped (1, Nx, Ny,
+        Nz).  No full grid is written: their sum is formed slab by slab by
+        :func:`block_spin_step`, or whole by :attr:`symbol_grid`.
         """
-        k = [2.0 * np.pi * np.arange(N) / N for N in extents]
-        space = -mu
-        for axis in (1, 2, 3):
-            space = space + (2.0 - 2.0 * np.cos(k[axis])).reshape([-1 if a == axis else 1 for a in range(4)])
-        grid = -d * (np.exp(1j * k[0]) - 1.0)[:, None, None, None] + space
-        return cls(tuple(extents), grid, provenance=f"heat-mu (mu={mu}, d={d})")
+        Nt, Nx, Ny, Nz = extents
+        lap = {N: 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(N) / N) for N in {Nx, Ny, Nz}}
+        space = -mu + lap[Nx].reshape(-1, 1, 1) + lap[Ny].reshape(-1, 1) + lap[Nz]
+        time = -d * (np.exp(1j * (2.0 * np.pi * np.arange(Nt) / Nt)) - 1.0)
+        return cls(tuple(extents), (time.reshape(Nt, 1, 1, 1), space.astype(complex).reshape(1, Nx, Ny, Nz)),
+                   provenance=f"heat-mu (mu={mu}, d={d})")
+
+
+#: step weights below this are round-off of the profile's exact zeros
+_TINY = np.finfo(float).tiny
+
+
+@lru_cache(maxsize=64)  # each renormalization step builds two actions of the same shapes
+def _sum_shape_is(shapes: tuple[tuple[int, ...], ...], extents: tuple[int, ...]) -> bool:
+    """Whether arrays of these shapes sum by broadcasting to exactly
+    ``extents``, each having per axis extent 1 or the full extent."""
+    for shape in shapes:
+        if len(shape) != len(extents):
+            return False
+        for n, e in zip(shape, extents):
+            if n != 1 and n != e:
+                return False
+    return bool(shapes) and tuple(map(max, zip(*shapes))) == extents
 
 
 def _quotient(w: np.ndarray, a: np.ndarray, pole: np.ndarray | None) -> np.ndarray:
@@ -179,29 +225,37 @@ def _quotient(w: np.ndarray, a: np.ndarray, pole: np.ndarray | None) -> np.ndarr
 def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile = SHARP) -> QuadraticAction:
     """One exact quadratic-level block-spin step.
 
-    The input grid is the fine lattice of out = make_shape(1, L, Nt/L^2,
-    Nx/L) (spatial extents equal).  Per output momentum K the new symbol is
-    the rank-one factor of :func:`blockspin.symbols.fiber_resolvent` on the
-    input's fiber over K with weights u = qhat/L, qhat the averaging
+    The input symbol lives on the fine lattice of out = make_shape(1, L,
+    Nt/L^2, Nx/L) (spatial extents equal).  Per output momentum K the new
+    symbol is the rank-one factor of :func:`blockspin.symbols.fiber_resolvent`
+    on the input's fiber over K with weights u = qhat/L, qhat the averaging
     symbol: L^2 / (L^2 + T), T = sum_m qhat(K+m)^2 / symbol(K+m).  One
     vanishing input symbol with live averaging weight is the massless limit
     and maps to 0; any other vanishing pattern makes the Gaussian degenerate
     and raises :class:`NumericalError` naming the fiber row (the flat index
     of K), under the same pole rule as the resolvent.
 
-    The sum is contracted on the grid as it lies.  Fine mode j*N + i (block
-    index j, unit index i) is entry (j_t, i_t, j_x, i_x, j_y, i_y, j_z, i_z)
-    of the grid's reshape view, and qhat^2 is a product of one-dimensional
+    The sum is contracted on the symbol as it lies.  Fine mode j*N + i
+    (block index j, unit index i) is entry (j_t, i_t, j_x, i_x, j_y, i_y,
+    j_z, i_z) of its reshape view, and qhat^2 is a product of one-dimensional
     (block, unit) tables, one per axis.  So the spatial weight divided by the
-    grid is summed over the three spatial block axes, and the time block
-    axis is contracted with its table: no fiber copy of the grid and no
-    full-grid weight array is made.  The grid streams in slabs of whole
-    output time rows, as many as fit in ``symbols._BATCH_ENTRIES`` fiber
-    entries but at least one.  A slab that fits is divided whole.  A larger
-    one (one time row, 177k entries on a (243,27,27,27) grid) is divided one
-    x block at a time into one accumulator, so its worker holds two 1/mx-slab
-    temporaries (1 MB each there) besides the pole test's.  The sum runs over
-    the x, y and z block axes, then over the time block axis with its table.
+    symbol is summed over the three spatial block axes, and the time block
+    axis is contracted with its table: no fiber copy and no full-grid weight
+    array is made.  Spatial weights below the smallest normal float are
+    profile round-off of exact zeros and are set to 0 (they are dead weight
+    either way, and a subnormal divide is several times slower).
+
+    The symbol streams in slabs of whole output time rows, as many as fit in
+    ``symbols._BATCH_ENTRIES`` fiber entries but at least one.  Each slab of
+    the symbol is the sum of its terms' slabs: a term that spans the time
+    axis is sliced to the slab's rows, one that does not is added whole, and
+    a one-term action's slab is a view of its grid.  So a heat-minus-mu chain
+    holds one slab of the sum per worker, never the whole grid.  A slab that
+    fits is divided whole.  A larger one (one time row, 177k entries on a
+    (243,27,27,27) grid) is divided one x block at a time into one
+    accumulator, so its worker holds the slab sum, two 1/mx-slab temporaries
+    (1 MB each there) and the pole test's.  The sum runs over the x, y and z
+    block axes, then over the time block axis with its table.
 
     The large slabs run on :func:`blockspin.symbols._row_batches`' pool, one
     thread per usable core; smaller ones stay on the caller's thread.  The
@@ -215,10 +269,10 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     (sum of qhat^2 over each fiber is 1) gives 1/symbol = 1/a_n - 1 +
     1/zero_field_symbol at scale n, with a_n = :attr:`FlowParams.a`: the
     running prefactor builds up over the chain rather than being applied
-    per step.
+    per step.  The output is a one-term action.
     """
     Nt, Nx = action.extents[:2]
-    if Nt % (L * L) != 0 or Nx % L != 0 or any(e != Nx for e in action.extents[2:]):
+    if Nt % (L * L) != 0 or Nx % L != 0 or action.extents[2:] != (Nx, Nx):
         raise LatticeError(f"block step needs L^2 | Nt, L | Nx and cubic space, got {action.extents}, L={L}")
     out = make_shape(1, L, Nt // (L * L), Nx // L)
     nt, nx, mt, mx = out.Nt, out.Nx, out.mt, out.mx
@@ -229,10 +283,13 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     time2 = qt * qt / (L * L)  # u^2 = qhat^2 / L^2
     x2 = qx * qx
     space2 = x2[:, :, None, None, None, None] * x2[:, :, None, None] * x2  # (mx, nx, mx, nx, mx, nx)
-    grid = action.symbol_grid.reshape(mt, nt, mx, nx, mx, nx, mx, nx)
+    space2[space2 < _TINY] = 0.0  # profile round-off: subnormal divides are slow, and the weight is dead
+    # terms with the time axis split (block, unit), or (1, 1) where they do not span it
+    terms = [t.reshape((mt, nt) + t.shape[1:] if len(t) > 1 else (1, 1) + t.shape[1:]) for t in action.terms]
 
     def slab(time_rows: slice) -> np.ndarray:
-        a = grid[:, time_rows]
+        parts = [t if t.shape[1] == 1 else t[:, time_rows] for t in terms]
+        a = sum(parts[1:], parts[0]).reshape(mt, -1, mx, nx, mx, nx, mx, nx)
         pole, has = _pole_rows(a, lambda: np.sqrt(np.multiply.outer(time2[:, time_rows], space2)), (0, 2, 4, 6))
         if a.size <= symbols._BATCH_ENTRIES:
             acc = _quotient(space2, a, pole)
@@ -246,7 +303,7 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
         space_sum = np.einsum("tiajbkcl->tijkl", acc)
         return _resummed(1.0 + np.einsum("ti,tijkl->ijkl", time2[:, time_rows], space_sum), has).reshape(-1)
 
-    sigma = _row_batches(nt, action.symbol_grid.size // nt, slab, pooled=True)
+    sigma = _row_batches(nt, math.prod(action.extents) // nt, slab, pooled=True)
     return QuadraticAction(out.unit_extents, sigma.reshape(out.unit_extents), provenance=f"step({action.provenance})")
 
 
@@ -394,8 +451,14 @@ def renormalize_mu(flow: FlowParams, correction, tol: float = 1e-12, max_iter: i
     does for the quadratic correction mu^2/(1 - mu) when the base exceeds
     3 - 2 sqrt 2 and there is no fixed point.  Below its smaller fixed point
     the map base + mu^2/(1 - mu) is convex and increasing, so a converging
-    orbit's gaps shrink monotonically.  An orbit still moving after
-    ``max_iter`` steps raises too.
+    orbit's gaps shrink monotonically.
+
+    It returns mu_(k+1) once gap / (1 - rho) <= tol * max(1, |mu_(k+1)|),
+    with rho the ratio of the last two gaps (0 on the first step, where the
+    gap alone counts).  For an orbit contracting at rate rho that is the
+    distance of mu_k from the fixed point, which bounds mu_(k+1)'s: near the
+    tangency rho approaches 1, and a small gap alone would stop far from the
+    fixed point.  An orbit still moving after ``max_iter`` steps raises too.
     """
     Lsq = float(flow.L * flow.L)
     base = Lsq * flow.mu
@@ -409,11 +472,12 @@ def renormalize_mu(flow: FlowParams, correction, tol: float = 1e-12, max_iter: i
     for _ in range(max_iter):
         nxt = base + correction(mu)
         gap = abs(nxt - mu)
-        if gap <= tol * max(1.0, abs(nxt)):
-            return float(nxt)
         if gap >= last_gap:
             raise NumericalError(f"chemical-potential iteration stopped contracting at mu = {nxt:.6g} "
                                  f"(gap {gap:.3g} after {last_gap:.3g})")
+        rho = gap / last_gap  # the contraction rate; 0 on the first step, where the gap alone counts
+        if gap / (1.0 - rho) <= tol * max(1.0, abs(nxt)):
+            return float(nxt)
         mu, last_gap = nxt, gap
     raise NumericalError("chemical-potential fixed point did not converge")
 
@@ -464,8 +528,9 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
     does not exist or its correction is not a contraction (near the
     correction's pole at input mu = L^-2), the trace ends at the last good
     scale: the sampled contraction test fails, or the fixed-point orbit
-    stops contracting (see :func:`renormalize_mu`).  The last row's
-    ``stop`` records why the trace ended.
+    stops contracting (see :func:`renormalize_mu`).  Each renormalized mu is
+    within 1e-12 * max(1, mu) of its fixed point by the orbit's estimated
+    contraction rate.  The last row's ``stop`` records why the trace ended.
     """
     n_last = max_steps(v0, L)
     if steps is not None:

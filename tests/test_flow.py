@@ -1,6 +1,7 @@
 import itertools
 import math
 import multiprocessing
+import re
 import sys
 import threading
 import tracemalloc
@@ -51,6 +52,30 @@ def test_heat_minus_mu_grid_on_non_cubic_extents():
         want = -d * (np.exp(1j * k[0]) - 1.0) + sum(2.0 - 2.0 * np.cos(ka) for ka in k[1:]) - mu
         assert abs(grid[idx] - want) <= 1e-12
 
+
+
+def test_heat_minus_mu_terms_sum_to_its_grid():
+    act = QuadraticAction.from_heat_minus_mu((27, 9, 9, 9), mu=0.05)
+    time, space = act.terms
+    assert time.shape == (27, 1, 1, 1) and space.shape == (1, 9, 9, 9)
+    grid = act.symbol_grid
+    assert np.array_equal(grid, time + space) and grid.shape == act.extents
+    assert act.symbol_grid is grid  # built once, on the first read
+    one = QuadraticAction(act.extents, grid)
+    assert len(one.terms) == 1 and one.symbol_grid is one.terms[0]
+
+
+@pytest.mark.parametrize("shapes", [
+    [(9, 1, 1, 1), (1, 2, 3, 3)],  # an extent that is neither 1 nor the axis's
+    [(9, 1, 1, 1), (1, 3, 3, 3), (1, 2, 3, 3)],  # the same, beside terms that span every axis
+    [(9, 1, 1, 1)],                # the spatial axes spanned by no term
+    [(9, 1, 1, 1), (1, 3, 3)],     # a term of the wrong rank
+    [],
+])
+def test_terms_that_do_not_broadcast_to_extents_raise(shapes):
+    terms = tuple(np.ones(shape, dtype=complex) for shape in shapes)
+    with pytest.raises(LatticeError, match=re.escape(str(shapes))):
+        QuadraticAction((9, 3, 3, 3), terms)
 
 def test_block_prefactor_values():
     assert flow_params_at(1, 1e-5, 1e-5, 3).a == 1.0
@@ -183,6 +208,63 @@ def test_chain_step_streams_in_small_memory():
         tracemalloc.stop()
     assert peak <= 16 * 2**20
 
+
+
+def test_chain_build_and_step_in_small_memory():
+    # the chain's first action is a time and a space term: neither building nor
+    # stepping it writes the (243,27,27,27) grid (76 MB)
+    tracemalloc.start()
+    try:
+        block_spin_step(QuadraticAction.from_heat_minus_mu((243, 27, 27, 27), mu=0.05), 3, SMOOTH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+@pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
+@pytest.mark.parametrize("ext", [(9, 3, 3, 3), (18, 3, 3, 3), (81, 9, 9, 9), (243, 27, 27, 27)])
+def test_terms_and_grid_step_alike(ext, profile):
+    # summing the terms slab by slab gives the grid's slabs bit for bit; at
+    # mu = 0 the K = 0 row holds a live pole and maps to 0 in both
+    for mu in (0.0, 1e-4, 0.05, 0.5):
+        terms = QuadraticAction.from_heat_minus_mu(ext, mu)
+        grid = QuadraticAction(ext, terms.symbol_grid)
+        got = block_spin_step(terms, 3, profile).symbol_grid
+        assert np.array_equal(got, block_spin_step(grid, 3, profile).symbol_grid)
+        assert (got[0, 0, 0, 0] == 0.0) == (mu == 0.0)
+
+
+@pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
+def test_terms_and_grid_name_the_same_dead_pole_row(profile):
+    # (18,9,9,9) steps to (2,3,3,3).  Fine mode (0,3,1,0) is unit site (0,0,1,0),
+    # fiber row 3, at x block 1 of K_x = 0, where both profiles vanish.  A zero
+    # space term there meets the zero time term at k0 = 0: a pole without weight
+    time, space = QuadraticAction.from_heat_minus_mu((18, 9, 9, 9), mu=0.3).terms
+    space = space.copy()
+    space[0, 3, 1, 0] = 0.0
+    terms = QuadraticAction((18, 9, 9, 9), (time, space))
+    for act in (terms, QuadraticAction(terms.extents, terms.symbol_grid)):
+        with pytest.raises(NumericalError, match=r"fiber row \(3,\) singular: more than one pole, or a pole without"):
+            block_spin_step(act, 3, profile)
+
+
+@pytest.mark.parametrize("ext", [(9, 3, 3, 3), (243, 27, 27, 27)])
+def test_step_divides_no_subnormal_weight(monkeypatch, ext):
+    # SMOOTH's spatial weight holds round-off of exact zeros far below the
+    # smallest normal float; the step sets those to 0 before dividing
+    seen = []
+    quotient = flow._quotient
+
+    def recording(w, a, pole):
+        seen.append(w.copy())
+        return quotient(w, a, pole)
+
+    monkeypatch.setattr(flow, "_quotient", recording)
+    block_spin_step(QuadraticAction.from_heat_minus_mu(ext, mu=0.05), 3, SMOOTH)
+    assert seen
+    for w in seen:
+        assert not np.any((w != 0.0) & (np.abs(w) < np.finfo(float).tiny))
 
 @pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
 @pytest.mark.parametrize("ext, batch", [((243, 27, 27, 27), None), ((81, 9, 9, 9), 1 << 12)], ids=["chain", "81"])
@@ -428,6 +510,16 @@ def test_renormalize_mu_converges_just_below_the_tangency():
     got = renormalize_mu(f, _pulled_back_correction([]), tol=1e-14, max_iter=400)
     assert abs(got - root) <= 1e-12
 
+
+
+def test_renormalize_mu_default_tol_bounds_the_distance_at_the_tangency():
+    # at rate about 0.87 a gap is about a seventh of the distance left, so the
+    # default tol must stop on the distance, not on the gap
+    B = 0.17
+    f = flow_params_at(1, 1e-5, 1e-5, 3, mu_override=B / 9)
+    root = ((1.0 + B) - math.sqrt((1.0 + B) ** 2 - 8.0 * B)) / 4.0
+    got = renormalize_mu(f, _pulled_back_correction([]))
+    assert abs(got - root) <= 1e-12 * max(1.0, root)
 
 def test_quadratic_mass_correction_closed_form():
     # both profiles kill all nonzero block momenta at k=0, so the remainder
