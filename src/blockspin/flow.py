@@ -22,7 +22,10 @@ coefficient at offset z, and applying one is one multiply by its symbol.
 
 The chemical-potential trace is quadratic-level bookkeeping: the step's
 zero-momentum remainder feeds a fixed-point update mu_{n+1} = L^2 mu_n +
-correction(mu_{n+1}).  It mirrors, but does not reproduce, the full flow,
+correction(mu_{n+1}).  That remainder has a closed form, L^4 x^2 / (1 - L^2 x)
+at input mass x, because the zero-momentum fiber couples only its p = 0
+entry; so the trace runs no step, and the quadratic level is blind to the
+averaging profile.  It mirrors, but does not reproduce, the full flow,
 whose correction includes non-Gaussian parts of the fluctuation integral.
 """
 
@@ -31,15 +34,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from . import symbols
 from .action import well_geometry
-from .lattice_ops import (SHARP, AveragingProfile, block_average, block_average_adjoint, operator_matrix,
-                          profile_axis_symbol)
-from .symbols import NumericalError, _pole_rows, _resummed, _row_batches
+from .lattice_ops import SHARP, AveragingProfile, block_average_adjoint, operator_matrix, profile_axis_symbol
+from .symbols import _SINGULAR, NumericalError, _pole_rows, _resummed, _row_batches
 from .torus import Field, LatticeError, TorusShape, fiber_momenta, make_shape, negate_modes
 
 __all__ = [
@@ -168,14 +169,11 @@ class QuadraticAction:
             raise LatticeError(f"symbol terms shaped {list(shapes)} do not broadcast to extents {extents}")
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "terms", terms)
-        if len(terms) == 1:  # its own grid: set here, reads skip cached_property's first-read lock
-            self.__dict__["symbol_grid"] = terms[0]
 
     @cached_property
     def symbol_grid(self) -> np.ndarray:
         """The symbol over the whole dual lattice: the terms' sum, kept after
-        its first read (a one-term action's grid is its term, set at
-        construction)."""
+        its first read (a one-term action's grid is its term)."""
         grid = self.terms[0]
         for term in self.terms[1:]:
             grid = grid + term
@@ -202,7 +200,6 @@ class QuadraticAction:
 _TINY = np.finfo(float).tiny
 
 
-@lru_cache(maxsize=64)  # each renormalization step builds two actions of the same shapes
 def _sum_shape_is(shapes: tuple[tuple[int, ...], ...], extents: tuple[int, ...]) -> bool:
     """Whether arrays of these shapes sum by broadcasting to exactly
     ``extents``, each having per axis extent 1 or the full extent."""
@@ -250,12 +247,11 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     the symbol is the sum of its terms' slabs: a term that spans the time
     axis is sliced to the slab's rows, one that does not is added whole, and
     a one-term action's slab is a view of its grid.  So a heat-minus-mu chain
-    holds one slab of the sum per worker, never the whole grid.  A slab that
-    fits is divided whole.  A larger one (one time row, 177k entries on a
-    (243,27,27,27) grid) is divided one x block at a time into one
-    accumulator, so its worker holds the slab sum, two 1/mx-slab temporaries
-    (1 MB each there) and the pole test's.  The sum runs over the x, y and z
-    block axes, then over the time block axis with its table.
+    holds one slab of the sum per worker, never the whole grid.  Each slab
+    is divided one x block at a time into one accumulator, so its worker
+    holds the slab sum, two 1/mx-slab temporaries (1 MB each for one time
+    row of a (243,27,27,27) grid) and the pole test's.  The sum runs over the
+    x, y and z block axes, then over the time block axis with its table.
 
     The large slabs run on :func:`blockspin.symbols._row_batches`' pool, one
     thread per usable core; smaller ones stay on the caller's thread.  The
@@ -291,15 +287,13 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
         parts = [t if t.shape[1] == 1 else t[:, time_rows] for t in terms]
         a = sum(parts[1:], parts[0]).reshape(mt, -1, mx, nx, mx, nx, mx, nx)
         pole, has = _pole_rows(a, lambda: np.sqrt(np.multiply.outer(time2[:, time_rows], space2)), (0, 2, 4, 6))
-        if a.size <= symbols._BATCH_ENTRIES:
-            acc = _quotient(space2, a, pole)
-        else:  # one x block at a time into one accumulator
-            def block(x: int) -> np.ndarray:
-                return _quotient(space2[x:x + 1], a[:, :, x:x + 1], None if pole is None else pole[:, :, x:x + 1])
 
-            acc = block(0)
-            for x in range(1, mx):
-                acc += block(x)
+        def block(x: int) -> np.ndarray:  # one x block at a time into one accumulator
+            return _quotient(space2[x:x + 1], a[:, :, x:x + 1], None if pole is None else pole[:, :, x:x + 1])
+
+        acc = block(0)
+        for x in range(1, mx):
+            acc += block(x)
         space_sum = np.einsum("tiajbkcl->tijkl", acc)
         return _resummed(1.0 + np.einsum("ti,tijkl->ijkl", time2[:, time_rows], space_sum), has).reshape(-1)
 
@@ -314,6 +308,9 @@ def block_spin_step_dense(action: QuadraticAction, L: int, profile: AveragingPro
     Builds the dense input form, the dense averaging matrices, and the exact
     convolution output (1/L^2) I - (1/L^4) Q G^{-1} Q* with
     G = input + (1/L^2) Q* Q, then reads the output symbol off the first row.
+    Q is the transpose of Q* over the box volume L^5, the weight that
+    :func:`blockspin.lattice_ops.block_average_adjoint` carries, so only Q*
+    (one column per coarse site) is applied.
     """
     extents = action.extents
     sites = int(np.prod(extents))
@@ -325,8 +322,8 @@ def block_spin_step_dense(action: QuadraticAction, L: int, profile: AveragingPro
         shift = np.unravel_index(x, extents)
         A[x, :] = np.roll(kernel, shift, axis=(0, 1, 2, 3)).reshape(-1)
     shape0 = TorusShape(0, L, extents[0], extents[1])
-    Q = operator_matrix(lambda f: block_average(f, profile), shape0, "unit", "coarse", max_sites=max_sites)
     Qstar = operator_matrix(lambda f: block_average_adjoint(f, profile), shape0, "coarse", "unit", max_sites=max_sites)
+    Q = Qstar.T / L**5
     Lsq = float(L * L)
     G = A + Qstar @ Q / Lsq
     coarse_sites = Q.shape[0]
@@ -418,26 +415,24 @@ def quadratic_action_form(action: QuadraticAction, psi_star: Field, psi: Field) 
 # chemical-potential renormalization
 # ---------------------------------------------------------------------------
 
-def quadratic_mass_correction(mu_in: float, L: int, d: float = 1.0,
-                              profile: AveragingProfile = SHARP) -> float:
-    """Zero-momentum remainder of one step beyond the naive L^2 mass scaling.
+def quadratic_mass_correction(mu_in: float, L: int) -> float:
+    """Zero-momentum remainder of one step beyond the naive L^2 mass scaling:
+    L^4 mu_in^2 / (1 - L^2 mu_in), for the heat-minus-mass input of mass mu_in.
 
     The step's output at momentum K depends only on the input's fiber over
     K.  For K = 0 that fiber is the momenta 2pi (j_t/L^2, j_x/L, j_y/L,
-    j_z/L), the whole dual lattice of the (L^2, L, L, L) torus, on every
-    torus the step accepts.  So the heat-minus-mass input is stepped on that
-    minimal torus, and the returned value is (output mass) - L^2 * (input
-    mass).
-
-    The value is L^4 mu^2 / (1 - L^2 mu) for both profiles and every d: both
-    profiles vanish at the nonzero momenta 2 pi j / L of the K = 0 fiber, so
-    only p = 0 (u = 1/L, symbol -mu) couples and d enters only decoupled
-    entries.  The step is kept so that the correction runs the chain's algebra.
+    j_z/L), and both averaging profiles vanish at its nonzero entries, so
+    only p = 0 couples (u = 1/L, symbol -mu_in).  The output mass is then
+    L^2 mu_in / (1 - L^2 mu_in), for every profile and every d: the value is
+    the output mass of :func:`block_spin_step` minus L^2 mu_in, on any torus
+    the step accepts.  Within :data:`blockspin.symbols._SINGULAR` of the
+    pole 1 - L^2 mu_in = 0, where the step finds the resummation factor
+    vanishing, it raises :class:`NumericalError` too.
     """
-    minimal = (L * L, L, L, L)
-    stepped = block_spin_step(QuadraticAction.from_heat_minus_mu(minimal, mu_in, d), L, profile)
-    out_mass = -stepped.symbol_grid[(0,) * 4].real
-    return float(out_mass - L * L * mu_in)
+    den = 1.0 - L * L * mu_in
+    if abs(den) < _SINGULAR:
+        raise NumericalError(f"mass correction at its pole: 1 - L^2 mu = {den:.3g}")
+    return float(L**4 * mu_in * mu_in / den)
 
 
 def renormalize_mu(flow: FlowParams, correction, tol: float = 1e-12, max_iter: int = 200) -> float:
@@ -521,16 +516,18 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
     once the chemical potential reaches ``stop_mu``, whichever comes first.
     With ``renormalize`` the trace uses the quadratic-level fixed point per
     step (the trial's pull-back mu/L^2 is the step input); otherwise the
-    closed form L^(2n) mu0.  The per-step correction depends only on the
-    zero-momentum fiber, so it runs on the minimal (L^2, L, L, L) torus;
-    ``shape`` sets the well geometry and must admit a block step (L^2 | Nt,
-    L | Nx), else :class:`LatticeError`.  When the next scale's fixed point
-    does not exist or its correction is not a contraction (near the
-    correction's pole at input mu = L^-2), the trace ends at the last good
-    scale: the sampled contraction test fails, or the fixed-point orbit
-    stops contracting (see :func:`renormalize_mu`).  Each renormalized mu is
-    within 1e-12 * max(1, mu) of its fixed point by the orbit's estimated
-    contraction rate.  The last row's ``stop`` records why the trace ended.
+    closed form L^(2n) mu0.  The per-step correction is
+    :func:`quadratic_mass_correction`'s closed form, so no step runs, and
+    ``profile`` does not change the trace: the quadratic level is blind to
+    the averaging profile.  ``shape`` sets the well geometry and must admit
+    a block step (L^2 | Nt, L | Nx), else :class:`LatticeError`.  When the
+    next scale's fixed point does not exist or its correction is not a
+    contraction (near the correction's pole at input mu = L^-2), the trace
+    ends at the last good scale: the sampled contraction test fails, or the
+    fixed-point orbit stops contracting (see :func:`renormalize_mu`).  Each
+    renormalized mu is within 1e-12 * max(1, mu) of its fixed point by the
+    orbit's estimated contraction rate.  The last row's ``stop`` records why
+    the trace ended.
     """
     n_last = max_steps(v0, L)
     if steps is not None:
@@ -556,9 +553,8 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
             continue
         if Nt % (L * L) != 0 or Nx % L != 0:
             raise LatticeError(f"block step needs L^2 | Nt and L | Nx, got {shape.unit_extents}, L={L}")
-        corr = lambda m, _d=params.d: quadratic_mass_correction(m / (L * L), L, d=_d, profile=profile)
         try:
-            mu_running = renormalize_mu(params, corr)
+            mu_running = renormalize_mu(params, lambda m: quadratic_mass_correction(m / (L * L), L))
         except NumericalError as exc:
             stop = f"renormalize_mu: {exc}"
             break

@@ -364,7 +364,7 @@ def _row_batches(count: int, row_entries: int, rows, index_shape: tuple[int, ...
         flat = done + exc.row[0]
         row = tuple(int(i) for i in np.unravel_index(flat, index_shape)) if index_shape else (flat,)
         raise _singular_row(row, exc.why) from None
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return np.concatenate(parts)
 
 
 def _in_batches(k, shape: TorusShape, rows):

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -369,7 +368,6 @@ def fine_momenta(shape: TorusShape) -> tuple[np.ndarray, ...]:
     return t.reshape(-1, 1, 1, 1), x.reshape(1, -1, 1, 1), x.reshape(1, 1, -1, 1), x.reshape(1, 1, 1, -1)
 
 
-@lru_cache(maxsize=64)
 def fiber_momenta(shape: TorusShape) -> tuple[np.ndarray, ...]:
     """Momentum in radians of every fiber entry, as four per-axis components.
 
@@ -378,12 +376,10 @@ def fiber_momenta(shape: TorusShape) -> tuple[np.ndarray, ...]:
     j*N + i (unit index i in [0, N), block index j) at unit axis a and block
     axis a of the (Nt, Nx, Nx, Nx, mt, mx, mx, mx) view, extent 1 elsewhere.
     A symbol evaluated on the components broadcasts to that view, which
-    reshapes to the (unit sites, blocks) fiber array at no cost.  The
-    components are cached per shape, so they are read-only.
+    reshapes to the (unit sites, blocks) fiber array at no cost.
     """
     # contiguous (N, m) tables [i, j], so that symbols broadcast into C order
     t, x = (np.ascontiguousarray(c.reshape(-1, N).T) for c, N in zip(_axis_momenta(shape), shape.unit_extents))
-    t.flags.writeable = x.flags.writeable = False
     (Nt, mt), (Nx, mx) = t.shape, x.shape
     return (t.reshape(Nt, 1, 1, 1, mt, 1, 1, 1), x.reshape(1, Nx, 1, 1, 1, mx, 1, 1),
             x.reshape(1, 1, Nx, 1, 1, 1, mx, 1), x.reshape(1, 1, 1, Nx, 1, 1, 1, mx))

@@ -521,14 +521,22 @@ def test_renormalize_mu_default_tol_bounds_the_distance_at_the_tangency():
     got = renormalize_mu(f, _pulled_back_correction([]))
     assert abs(got - root) <= 1e-12 * max(1.0, root)
 
+
+def _stepped_mass(mu, L, ext, profile, d=1.0):
+    """Output mass of the step on the heat-minus-mu input: the closed form's oracle."""
+    return -block_spin_step(QuadraticAction.from_heat_minus_mu(ext, mu, d), L, profile).symbol_grid[0, 0, 0, 0].real
+
+
 def test_quadratic_mass_correction_closed_form():
-    # both profiles kill all nonzero block momenta at k=0, so the remainder
-    # has the closed form L^4 mu^2 / (1 - L^2 mu) whatever d
+    # both profiles kill all nonzero block momenta at k=0, so the remainder has
+    # the closed form L^4 mu^2 / (1 - L^2 mu) whatever d, on both sides of the
+    # pole.  The output masses are compared: the step's remainder out - L^2 mu
+    # cancels, and at mu = 1e-7 it sits up to 2e-10 relative off the exact value
     for profile, L, d in itertools.product((SHARP, SMOOTH), (3, 5), (1.0, 2.5)):
-        for mu in (1e-4, 1e-3, 1e-2):
-            got = quadratic_mass_correction(mu, L, d, profile)
-            want = L**4 * mu**2 / (1.0 - L * L * mu)
-            assert got == pytest.approx(want, rel=1e-12)
+        for mu in (1e-7, 1e-5, 1e-3, 1e-2, 0.03, 0.05, 0.2, 0.5):
+            got = L * L * mu + quadratic_mass_correction(mu, L)
+            want = _stepped_mass(mu, L, (L * L, L, L, L), profile, d)
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
@@ -537,9 +545,50 @@ def test_mass_correction_is_full_grid_zero_mode(L, ext, profile):
     # the output at K = 0 depends only on the K = 0 fiber, the whole (L^2, L, L, L) dual lattice
     for mu in (1e-5, 3e-4, 1e-2, 0.05):
         for d in (1.0, 2.5):
-            full = block_spin_step(QuadraticAction.from_heat_minus_mu(ext, mu, d), L, profile)
-            want = -full.symbol_grid[0, 0, 0, 0].real - L * L * mu
-            assert quadratic_mass_correction(mu, L, d, profile) == pytest.approx(want, rel=1e-14, abs=0.0)
+            want = _stepped_mass(mu, L, ext, profile, d)
+            assert L * L * mu + quadratic_mass_correction(mu, L) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
+@pytest.mark.parametrize("L", [3, 5])
+def test_mass_correction_and_step_share_the_pole(L, profile):
+    # at 1 - L^2 mu = 0 the resummation factor vanishes: within round-off of it
+    # both raise, and a little off it both give the same mass.  There the mass
+    # is ill-conditioned (condition 1 / |1 - L^2 mu|, about 1e8; the two differ
+    # by up to 2.1e-8 relative), hence rel 1e-7
+    pole = 1.0 / (L * L)
+    for mu in (pole, pole - 1e-14, pole + 1e-14):
+        with pytest.raises(NumericalError, match="resummation factor vanishes"):
+            _stepped_mass(mu, L, (L * L, L, L, L), profile)
+        with pytest.raises(NumericalError, match="pole"):
+            quadratic_mass_correction(mu, L)
+    for mu in (pole - 1e-9, pole + 1e-9):
+        want = _stepped_mass(mu, L, (L * L, L, L, L), profile)
+        assert L * L * mu + quadratic_mass_correction(mu, L) == pytest.approx(want, rel=1e-7)
+
+
+@pytest.mark.parametrize("mu0, v0", [(1e-5, 1e-5), (3.16e-5, 1e-5), (2e-7, 1e-6)])
+def test_run_flow_is_blind_to_profile(mu0, v0):
+    shape = make_shape(0, 3, 81, 9)
+    assert run_flow(mu0, v0, 3, shape, profile=SHARP) == run_flow(mu0, v0, 3, shape, profile=SMOOTH)
+
+
+@pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
+@pytest.mark.parametrize("mu0, v0", [(1e-5, 1e-5), (3.16e-5, 1e-5), (2e-7, 1e-6), (5e-4, 1e-3)])
+def test_run_flow_closed_form_matches_stepped_correction(monkeypatch, mu0, v0, profile):
+    # the trace's closed-form correction against the step on the minimal torus:
+    # same rows, same stops (3.16e-5 stops hard), the same mu to 1e-13
+    L, shape = 3, make_shape(0, 3, 81, 9)
+    want = run_flow(mu0, v0, L, shape)
+
+    def stepped(mu_in, L):
+        return _stepped_mass(mu_in, L, (L * L, L, L, L), profile) - L * L * mu_in
+
+    monkeypatch.setattr(flow, "quadratic_mass_correction", stepped)
+    got = run_flow(mu0, v0, L, shape)
+    assert [(s.params.n, s.stop) for s in got] == [(s.params.n, s.stop) for s in want]
+    for a, b in zip(got, want):
+        assert a.params.mu == pytest.approx(b.params.mu, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
@@ -550,7 +599,7 @@ def test_run_flow_hard_stop_records_reason(mu0, profile):
     L, v0 = 3, 1e-5
     trace = run_flow(mu0, v0, L, make_shape(0, 3, 81, 9), profile=profile)
     with pytest.raises(NumericalError):  # the scale after the last row has no fixed point
-        renormalize_mu(trace[-1].params, lambda m: quadratic_mass_correction(m / L**2, L, profile=profile))
+        renormalize_mu(trace[-1].params, lambda m: quadratic_mass_correction(m / L**2, L))
     assert 1 <= len(trace) <= max_steps(v0, L) + 1
     assert trace[-1].stop.startswith("renormalize_mu: ")
     assert all(step.stop is None for step in trace[:-1])
