@@ -10,11 +10,14 @@ That complement is the rank-one factor 1 / (1 + sum u^2 / symbol) of each
 fiber, and since box averaging is a product of one-dimensional box averages,
 u^2 is a product of per-axis tables: the step contracts them with the input
 symbol in its own layout, slab by slab, without gathering the fibers.  A
-symbol is a sum of broadcastable terms (the heat operator minus mu is a time
-term plus a space term), and the step sums the terms one slab at a time, so
-the full grid of a chain's first action is never written.  Large slabs run
-on one thread per usable core, and only numpy and the pole helpers run off
-the caller's thread.
+symbol is a sum of broadcastable terms.  When each term spans only the time
+axis or only space, as the heat operator minus mu does, the step takes the
+time-plus-space path: one time resolvent per distinct value of the space
+terms' sum, gathered and contracted per output row, so the full grid of a
+chain's first action is never written.  Any other action, such as a one-term
+grid, takes the slab path, which sums the terms one slab at a time and
+divides the weights by the sum.  Both run on the caller's thread and share
+the weight tables and the pole rule.
 
 Localization splits a kernel into a mass and per-axis derivative kernels,
 one (4,) + extents array in FFT index order: kernels[axis][z mod N] is the
@@ -40,7 +43,7 @@ import numpy as np
 
 from .action import well_geometry
 from .lattice_ops import SHARP, AveragingProfile, block_average_adjoint, operator_matrix, profile_axis_symbol
-from .symbols import _SINGULAR, NumericalError, _pole_rows, _resummed, _row_batches
+from .symbols import _POLE, _SINGULAR, NumericalError, _pole_rows, _resummed, _row_batches
 from .torus import Field, LatticeError, TorusShape, fiber_momenta, make_shape, negate_modes
 
 __all__ = [
@@ -151,9 +154,10 @@ class QuadraticAction:
     (extent 1), and together they span every axis; other shapes raise
     :class:`LatticeError`.  An array passed in place of the tuple is one
     term, so QuadraticAction(extents, grid) holds that grid.
-    :func:`block_spin_step` sums the terms slab by slab, in order;
-    :attr:`symbol_grid` sums them whole, in the same order, on its first
-    read only.
+    :func:`block_spin_step` picks its path by the terms' shapes: terms that
+    each span only time or only space are summed per side, any others slab
+    by slab, in order.  :attr:`symbol_grid` sums them whole, in order, on its
+    first read only.
     """
 
     extents: tuple[int, int, int, int]
@@ -185,8 +189,9 @@ class QuadraticAction:
 
         The time term -d (exp(i k0) - 1) is shaped (Nt, 1, 1, 1); the space
         term, the spatial Laplacian's symbol minus mu, is shaped (1, Nx, Ny,
-        Nz).  No full grid is written: their sum is formed slab by slab by
-        :func:`block_spin_step`, or whole by :attr:`symbol_grid`.
+        Nz).  No full grid is written: :func:`block_spin_step` takes its
+        time-plus-space path on the two terms, and only :attr:`symbol_grid`
+        forms their sum whole.
         """
         Nt, Nx, Ny, Nz = extents
         lap = {N: 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(N) / N) for N in {Nx, Ny, Nz}}
@@ -219,6 +224,81 @@ def _quotient(w: np.ndarray, a: np.ndarray, pole: np.ndarray | None) -> np.ndarr
     return np.divide(w, a, out=np.zeros(a.shape, dtype=complex), where=~pole)
 
 
+def _step_weights(out: TorusShape, L: int, profile: AveragingProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The step's weights u^2 = qhat^2 / L^2 as per-axis (block, unit) tables:
+    time2 (mt, nt) and the spatial product space2 (mx, nx, mx, nx, mx, nx).
+
+    Spatial weights below the smallest normal float are profile round-off of
+    exact zeros and are set to 0: they are dead weight either way, and
+    subnormal arithmetic is several times slower.
+    """
+    # qhat per axis as C-contiguous (block, unit) tables: strided ones slow the contractions
+    p = fiber_momenta(out)
+    qt, qx = (profile_axis_symbol(eps * np.ascontiguousarray(p[a].reshape(N, m).T), m, profile.exponent)
+              for a, eps, N, m in ((0, out.eps_t, out.Nt, out.mt), (1, out.eps_x, out.Nx, out.mx)))
+    x2 = qx * qx
+    space2 = x2[:, :, None, None, None, None] * x2[:, :, None, None] * x2
+    space2[space2 < _TINY] = 0.0
+    return qt * qt / (L * L), space2
+
+
+def _fiber_poles(a: np.ndarray, time2: np.ndarray, space2: np.ndarray):
+    """The pole rule on fibers a shaped (mt, rows, mx, nx, mx, nx, mx, nx) of
+    the output time rows whose weights are time2 (mt, rows)."""
+    return _pole_rows(a, lambda: np.sqrt(np.multiply.outer(time2, space2)), (0, 2, 4, 6))
+
+
+def _slab_rows(terms: tuple[np.ndarray, ...], time2: np.ndarray, space2: np.ndarray):
+    """The slab path: sigma over slabs of output time rows, from the terms'
+    sum on each slab's fibers."""
+    (mt, nt), (mx, nx) = time2.shape, space2.shape[:2]
+    # terms with the time axis split (block, unit), or (1, 1) where they do not span it
+    terms = [t.reshape((mt, nt) + t.shape[1:] if len(t) > 1 else (1, 1) + t.shape[1:]) for t in terms]
+
+    def rows(time_rows: slice) -> np.ndarray:
+        parts = [t if t.shape[1] == 1 else t[:, time_rows] for t in terms]
+        a = sum(parts[1:], parts[0]).reshape(mt, -1, mx, nx, mx, nx, mx, nx)
+        pole, has = _fiber_poles(a, time2[:, time_rows], space2)
+
+        def block(x: int) -> np.ndarray:  # one x block at a time into one accumulator
+            return _quotient(space2[x:x + 1], a[:, :, x:x + 1], None if pole is None else pole[:, :, x:x + 1])
+
+        acc = block(0)
+        for x in range(1, mx):
+            acc += block(x)
+        space_sum = np.einsum("tiajbkcl->tijkl", acc)
+        return _resummed(1.0 + np.einsum("ti,tijkl->ijkl", time2[:, time_rows], space_sum), has).reshape(-1)
+
+    return rows
+
+
+def _time_plus_space_rows(tau: np.ndarray, space: np.ndarray, time2: np.ndarray, space2: np.ndarray):
+    """The time-plus-space path: sigma over slabs of output time rows, for
+    the symbol tau (mt, nt) + space (Nx, Nx, Nx), through one time resolvent
+    per distinct value of space."""
+    mt, (mx, nx) = len(time2), space2.shape[:2]
+    values, inv = np.unique(space.reshape(-1), return_inverse=True)
+    # (spatial block, spatial unit) layout, so one contraction sums a row's fiber
+    order = (0, 2, 4, 1, 3, 5)
+    inv = inv.reshape(space2.shape).transpose(order).reshape(mx**3, nx**3)
+    weight = space2.transpose(order).reshape(mx**3, nx**3).astype(complex)  # einsum would cast it per slab
+
+    def rows(time_rows: slice) -> np.ndarray:
+        den = tau[:, time_rows, None] + values
+        pole = np.abs(den) < _POLE
+        has = None
+        if pole.any():  # the same values as the rows' fibers, so the same poles
+            a = tau[:, time_rows].reshape(mt, -1, 1, 1, 1, 1, 1, 1) + space.reshape(space2.shape)
+            has = _fiber_poles(a, time2[:, time_rows], space2)[1]
+        # G[r, u] = sum_jt time2 / (tau + values[u]); a pole entry is left out:
+        # every row that reads it holds that pole, so the rule raised or has sends it to 0
+        G = np.divide(time2[:, time_rows, None], den, out=np.zeros(den.shape, dtype=complex), where=~pole).sum(0)
+        T = np.einsum("jk,rjk->rk", weight, G[:, inv])
+        return _resummed(1.0 + T.reshape(-1, nx, nx, nx), has).reshape(-1)
+
+    return rows
+
+
 def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile = SHARP) -> QuadraticAction:
     """One exact quadratic-level block-spin step.
 
@@ -235,29 +315,41 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     The sum is contracted on the symbol as it lies.  Fine mode j*N + i
     (block index j, unit index i) is entry (j_t, i_t, j_x, i_x, j_y, i_y,
     j_z, i_z) of its reshape view, and qhat^2 is a product of one-dimensional
-    (block, unit) tables, one per axis.  So the spatial weight divided by the
-    symbol is summed over the three spatial block axes, and the time block
-    axis is contracted with its table: no fiber copy and no full-grid weight
-    array is made.  Spatial weights below the smallest normal float are
-    profile round-off of exact zeros and are set to 0 (they are dead weight
-    either way, and a subnormal divide is several times slower).
+    (block, unit) tables, one per axis.  Spatial weights below the smallest
+    normal float are profile round-off of exact zeros and are set to 0.  The
+    output streams in slabs of whole output time rows, as many as fit in
+    ``symbols._BATCH_ENTRIES`` fiber entries but at least one, on the
+    caller's thread, and a row named by an error is re-based to the whole
+    output.  Two paths compute a slab, chosen by the shape of the terms:
 
-    The symbol streams in slabs of whole output time rows, as many as fit in
-    ``symbols._BATCH_ENTRIES`` fiber entries but at least one.  Each slab of
-    the symbol is the sum of its terms' slabs: a term that spans the time
-    axis is sliced to the slab's rows, one that does not is added whole, and
-    a one-term action's slab is a view of its grid.  So a heat-minus-mu chain
-    holds one slab of the sum per worker, never the whole grid.  Each slab
-    is divided one x block at a time into one accumulator, so its worker
-    holds the slab sum, two 1/mx-slab temporaries (1 MB each for one time
-    row of a (243,27,27,27) grid) and the pole test's.  The sum runs over the
-    x, y and z block axes, then over the time block axis with its table.
+    * Time plus space: when every term spans only the time axis or only
+      space, as the two terms of :meth:`QuadraticAction.from_heat_minus_mu`
+      do, the symbol is tau(k0) + s(kvec), tau the time terms' sum and s the
+      space terms'.  s takes few distinct values (the Laplacian's symbol is
+      symmetric under the cube's reflections and permutations), so the time
+      resolvent G[i_t, u] = sum_jt time2[j_t, i_t] / (tau + s_u) is formed
+      once per distinct value s_u, and T[i_t, K] = sum over the spatial
+      blocks of space2 times G[i_t, u(K + m)] is a gather and one
+      contraction.  The pole test runs on the (mt, rows, distinct values)
+      table of tau + s_u, the same values as the fibers.  When it finds a
+      pole, the rule runs on the slab's fibers as on the slab path, so the
+      two paths name the same row with the same message, and the pole
+      entries are left out of G: every row that reads one holds that pole
+      and maps to 0 or raises.
+    * Slab: any other action, such as a one-term grid (every step of a chain
+      after the first).  Each slab of the symbol is the sum of its terms'
+      slabs: a term that spans the time axis is sliced to the slab's rows,
+      one that does not is added whole, and a one-term action's slab is a
+      view of its grid.  The slab is divided one x block at a time into one
+      accumulator, so the step holds the slab sum, two 1/mx-slab temporaries
+      (1 MB each for one time row of a (243,27,27,27) grid) and the pole
+      test's.  The sum runs over the x, y and z block axes, then over the
+      time block axis with its table.
 
-    The large slabs run on :func:`blockspin.symbols._row_batches`' pool, one
-    thread per usable core; smaller ones stay on the caller's thread.  The
-    weight tables are built first, so a slab calls only numpy and the pole
-    helpers, and the results are stacked in slab order: the output, and the
-    row a :class:`NumericalError` names, do not depend on the thread count.
+    Neither path writes the whole input grid.  The two agree to round-off
+    (they sum in different orders), and both call the traced names
+    ``profile_axis_symbol`` and ``fiber_momenta`` once, on the caller's
+    thread.
 
     The block-spin weight is a/L^2 with a = 1, so one step of the heat
     action gives the scale-1 kernel (1 + S)^-1 of
@@ -271,33 +363,16 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     if Nt % (L * L) != 0 or Nx % L != 0 or action.extents[2:] != (Nx, Nx):
         raise LatticeError(f"block step needs L^2 | Nt, L | Nx and cubic space, got {action.extents}, L={L}")
     out = make_shape(1, L, Nt // (L * L), Nx // L)
-    nt, nx, mt, mx = out.Nt, out.Nx, out.mt, out.mx
-    # qhat per axis as C-contiguous (block, unit) tables: strided ones slow the contractions
-    p = fiber_momenta(out)
-    qt, qx = (profile_axis_symbol(eps * np.ascontiguousarray(p[a].reshape(N, m).T), m, profile.exponent)
-              for a, eps, N, m in ((0, out.eps_t, nt, mt), (1, out.eps_x, nx, mx)))
-    time2 = qt * qt / (L * L)  # u^2 = qhat^2 / L^2
-    x2 = qx * qx
-    space2 = x2[:, :, None, None, None, None] * x2[:, :, None, None] * x2  # (mx, nx, mx, nx, mx, nx)
-    space2[space2 < _TINY] = 0.0  # profile round-off: subnormal divides are slow, and the weight is dead
-    # terms with the time axis split (block, unit), or (1, 1) where they do not span it
-    terms = [t.reshape((mt, nt) + t.shape[1:] if len(t) > 1 else (1, 1) + t.shape[1:]) for t in action.terms]
-
-    def slab(time_rows: slice) -> np.ndarray:
-        parts = [t if t.shape[1] == 1 else t[:, time_rows] for t in terms]
-        a = sum(parts[1:], parts[0]).reshape(mt, -1, mx, nx, mx, nx, mx, nx)
-        pole, has = _pole_rows(a, lambda: np.sqrt(np.multiply.outer(time2[:, time_rows], space2)), (0, 2, 4, 6))
-
-        def block(x: int) -> np.ndarray:  # one x block at a time into one accumulator
-            return _quotient(space2[x:x + 1], a[:, :, x:x + 1], None if pole is None else pole[:, :, x:x + 1])
-
-        acc = block(0)
-        for x in range(1, mx):
-            acc += block(x)
-        space_sum = np.einsum("tiajbkcl->tijkl", acc)
-        return _resummed(1.0 + np.einsum("ti,tijkl->ijkl", time2[:, time_rows], space_sum), has).reshape(-1)
-
-    sigma = _row_batches(nt, math.prod(action.extents) // nt, slab, pooled=True)
+    time2, space2 = _step_weights(out, L, profile)
+    time_terms = [t.reshape(-1) for t in action.terms if t.shape[1:] == (1, 1, 1)]
+    space_terms = [t[0] for t in action.terms if t.shape[1:] != (1, 1, 1) and len(t) == 1]
+    if len(time_terms) + len(space_terms) == len(action.terms):  # no term spans both time and space
+        tau = sum(time_terms, np.zeros(Nt, dtype=complex)).reshape(time2.shape)
+        space = sum(space_terms, np.zeros((Nx,) * 3, dtype=complex))
+        rows = _time_plus_space_rows(tau, space, time2, space2)
+    else:
+        rows = _slab_rows(action.terms, time2, space2)
+    sigma = _row_batches(out.Nt, math.prod(action.extents) // out.Nt, rows)
     return QuadraticAction(out.unit_extents, sigma.reshape(out.unit_extents), provenance=f"step({action.provenance})")
 
 
@@ -316,11 +391,10 @@ def block_spin_step_dense(action: QuadraticAction, L: int, profile: AveragingPro
     sites = int(np.prod(extents))
     if sites > max_sites:
         raise LatticeError(f"dense oracle capped at {max_sites} sites")
-    kernel = np.fft.fftn(action.symbol_grid) / sites  # A[x, y] = K(y - x)
-    A = np.empty((sites, sites), dtype=complex)
-    for x in range(sites):
-        shift = np.unravel_index(x, extents)
-        A[x, :] = np.roll(kernel, shift, axis=(0, 1, 2, 3)).reshape(-1)
+    kernel = np.fft.fftn(action.symbol_grid) / sites
+    # A[x, y] = K(y - x) = doubled[N - x + y], the kernel doubled along every axis: one strided copy
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(kernel, (2, 2, 2, 2)), extents)
+    A = windows[tuple(slice(N, 0, -1) for N in extents)].reshape(sites, sites)
     shape0 = TorusShape(0, L, extents[0], extents[1])
     Qstar = operator_matrix(lambda f: block_average_adjoint(f, profile), shape0, "coarse", "unit", max_sites=max_sites)
     Q = Qstar.T / L**5

@@ -13,8 +13,9 @@ inversions.  Two batched kernels do all of that algebra for the package:
   (the well symbol and the linearized well solve).
 
 The quadratic block-spin step (:func:`blockspin.flow.block_spin_step`)
-contracts the rank-one factor of the first on the grid as it lies.  All
-three follow one pole rule: a row may hold at most one zero of its diagonal
+contracts the rank-one factor of the first on the grid as it lies, or per
+distinct value of a time-plus-space symbol's space part.  All three follow
+one pole rule: a row may hold at most one zero of its diagonal
 (|a_j|, or |det D_j|, below the smallest normal float, where the reciprocal
 overflows), and that entry must carry live averaging weight; the row is then
 solved in closed form (its scalar factor is 0).  Any other vanishing pattern
@@ -43,8 +44,6 @@ continuum form as eps -> 0.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -318,46 +317,22 @@ def well_resolvent(D: np.ndarray, u: np.ndarray, w: np.ndarray | None = None):
 _BATCH_ENTRIES = 1 << 14
 
 
-def _new_pool() -> None:
-    """One thread per usable core for :func:`_row_batches`; numpy releases
-    the GIL in its array loops."""
-    global _POOL
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    _POOL = ThreadPoolExecutor(cores, thread_name_prefix="blockspin-batches")
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads: a pool of its own
-    os.register_at_fork(after_in_child=_new_pool)
-
-
-def _row_batches(count: int, row_entries: int, rows, index_shape: tuple[int, ...] = (),
-                 pooled: bool = False) -> np.ndarray:
+def _row_batches(count: int, row_entries: int, rows, index_shape: tuple[int, ...] = ()) -> np.ndarray:
     """rows(s) over consecutive slices s of range(count), stacked along axis 0.
 
     Each slice holds max(1, _BATCH_ENTRIES // row_entries) items of
-    ``row_entries`` fiber entries each.  rows(s) returns one result per
-    fiber row of the kernel it runs, so a :class:`NumericalError` naming row
-    (r,) of a batch is re-raised naming the caller's row: the rows stacked
-    before the batch plus r, unravelled to ``index_shape`` when given.
-
-    With ``pooled``, rows of more than _BATCH_ENTRIES entries (one per
-    batch, about a millisecond of work each) run on ``_POOL``'s threads when
-    there is more than one.  Such rows must be thread-safe and call only
-    numpy and private helpers, since a span recorder wrapping the package's
-    public functions is single-threaded.  Smaller batches stay on the
-    caller's thread: their short numpy calls gain less than the thread
-    handoffs cost.  Results are taken in batch order either way, so the
-    first failing batch in that order names the row.
+    ``row_entries`` fiber entries each, and the slices run in order on the
+    caller's thread.  rows(s) returns one result per fiber row of the kernel
+    it runs, so a :class:`NumericalError` naming row (r,) of a batch is
+    re-raised naming the caller's row: the rows stacked before the batch
+    plus r, unravelled to ``index_shape`` when given.
     """
     step = max(1, _BATCH_ENTRIES // row_entries)
-    starts = range(0, max(count, 1), step)
-    mapper = _POOL.map if pooled and row_entries > _BATCH_ENTRIES and len(starts) > 1 else map
     parts, done = [], 0
     try:
-        for part in mapper(lambda start: rows(slice(start, start + step)), starts):
-            parts.append(part)
-            done += len(part)
+        for start in range(0, max(count, 1), step):
+            parts.append(rows(slice(start, start + step)))
+            done += len(parts[-1])
     except NumericalError as exc:
         if exc.row is None:
             raise

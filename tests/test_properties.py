@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockspin import symbols
+from blockspin import flow, symbols
 from blockspin.background import ModelParams, _direct_operator, _FiberOperator
 from blockspin.flow import (QuadraticAction, apply_offset_kernel, block_spin_step, block_spin_step_dense,
                             localize_quadratic, quadratic_action_form)
@@ -139,14 +139,15 @@ def test_block_spin_step_matches_dense(dims, profile, mu, seed):
        st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.none()), st.integers(0, 2**16))
 def test_block_spin_step_in_slabs_matches_dense(dims, profile, mu, seed):
     # dims = (L, output time extent, output spatial extent); with the batch
-    # budget at one entry every output time row is a slab of its own
+    # budget at one entry every output time row is a slab of its own.  The
+    # heat-minus-mu draws are one-term grids, so that all of them take the slab path
     L, nt, nx = dims
     extents = (L * L * nt, L * nx, L * nx, L * nx)
     if mu is None:
         rng = np.random.default_rng(seed)
         action = QuadraticAction(extents, 0.2 + rng.random(extents) + 1j * rng.standard_normal(extents))
     else:
-        action = QuadraticAction.from_heat_minus_mu(extents, mu)
+        action = QuadraticAction(extents, QuadraticAction.from_heat_minus_mu(extents, mu).symbol_grid)
     whole = block_spin_step(action, L, profile)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(symbols, "_BATCH_ENTRIES", 1)
@@ -155,6 +156,53 @@ def test_block_spin_step_in_slabs_matches_dense(dims, profile, mu, seed):
     assert fast.extents == dense.extents == (nt, nx, nx, nx)
     _close(fast.symbol_grid, dense.symbol_grid)
     np.testing.assert_allclose(fast.symbol_grid, whole.symbol_grid, rtol=1e-14, atol=0)
+
+
+# (output time extent, input spatial extent) of L = 3 steps.  (2, 6), 3888 input
+# sites, is left out: its dense oracle takes 2-3 s, and (1, 6) has the even extents
+step_dims = st.sampled_from([(1, 3), (2, 3), (3, 3), (1, 6)])
+
+
+def _time_and_space_terms(extents, rng, repeated):
+    """A random (Nt,1,1,1) and (1,Nx,Nx,Nx) term whose sum has real part above
+    0.2; with ``repeated`` the space term takes only three distinct values."""
+    Nt, Nx = extents[:2]
+    time = 0.1 + rng.random((Nt, 1, 1, 1)) + 1j * rng.standard_normal((Nt, 1, 1, 1))
+    values = 0.1 + rng.random(3 if repeated else Nx**3) + 1j * rng.standard_normal(3 if repeated else Nx**3)
+    space = values[rng.integers(0, 3, Nx**3)] if repeated else values
+    return time, space.reshape(1, Nx, Nx, Nx)
+
+
+@settings(max_examples=8)
+@given(step_dims, profiles, st.booleans(), st.integers(0, 2**16))
+def test_time_plus_space_step_matches_dense(dims, profile, repeated, seed):
+    # a time term and a space term take the time-plus-space path, which must
+    # match the dense oracle and, to round-off, the slab path on their sum
+    nt, Nx = dims
+    extents = (9 * nt, Nx, Nx, Nx)
+    action = QuadraticAction(extents, _time_and_space_terms(extents, np.random.default_rng(seed), repeated))
+    fast = block_spin_step(action, 3, profile).symbol_grid
+    _close(fast, block_spin_step_dense(action, 3, profile).symbol_grid)
+    slab = block_spin_step(QuadraticAction(extents, action.symbol_grid), 3, profile).symbol_grid
+    np.testing.assert_allclose(fast, slab, rtol=1e-13, atol=0)
+
+
+@settings(max_examples=4)
+@given(step_dims, profiles, st.integers(0, 2**16))
+def test_mixed_term_step_takes_the_slab_path_and_matches_dense(dims, profile, seed):
+    # a third term spanning time and x couples the two: the slab path steps it
+    nt, Nx = dims
+    extents = (9 * nt, Nx, Nx, Nx)
+    rng = np.random.default_rng(seed)
+    mixed = 0.1 * (rng.random((9 * nt, Nx, 1, 1)) + 1j * rng.standard_normal((9 * nt, Nx, 1, 1)))
+    action = QuadraticAction(extents, _time_and_space_terms(extents, rng, False) + (mixed,))
+    divides = []
+    quotient = flow._quotient
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_quotient", lambda *args: divides.append(1) or quotient(*args))
+        fast = block_spin_step(action, 3, profile).symbol_grid
+    assert divides
+    _close(fast, block_spin_step_dense(action, 3, profile).symbol_grid)
 
 
 @given(st.integers(2, 6), st.data())
