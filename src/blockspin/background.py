@@ -20,10 +20,12 @@ diagonal, with live averaging weight; any other pattern raises
 :func:`fiber_momenta`; the symbols broadcast over the fiber view and
 reshape to (unit sites, blocks) rows.
 
-Two representations of the linear part, and only two: Newton's Jacobian,
-its GMRES matvec and its preconditioner use the fiber form diag(a) + u u^T;
-every residual (linear, well and nonlinear) applies the operator in direct
-space through the lattice_ops roll loops, so it checks the fiber path.
+Newton's Jacobian, its GMRES matvec and its preconditioner use the fiber
+form diag(a) + u u^T.  The residuals apply the operator another way, so
+that they check the fiber path: the linear and nonlinear ones in direct
+space through the lattice_ops roll loops, and the well one
+(:func:`apply_well_operator`) as the 2x2 well matrix on the fine FFT grid
+of :func:`fine_momenta`, plus the averaging mass through the roll loops.
 """
 
 from __future__ import annotations
@@ -254,7 +256,7 @@ def solve_well_linear(R: Field, Theta: Field, params: ModelParams, shape: TorusS
     X, H = Field(shape, "fine", XH[..., 0]), Field(shape, "fine", XH[..., 1])
     resid = _well_residual(X, H, R, Theta, params, shape, mode, profile)
     scale = max(1.0, float(np.max(np.abs(R.values))), float(np.max(np.abs(Theta.values))))
-    if resid > check_tol * scale:
+    if not resid <= check_tol * scale:  # a NaN residual fails too
         raise NumericalError(f"well solve residual {resid:.3e} exceeds {check_tol:.1e}")
     return X, H
 
@@ -322,7 +324,7 @@ def _seed_fields(psi_pair, params, shape, profile, strategy, fiber, psi_rhs):
             raise LatticeError("well seed needs mu > 0")
         ratio_plain = psi_pair.plain.values / r
         ratio_star = psi_pair.starred.values / r
-        if np.any(np.abs(ratio_plain) < 1e-12):
+        if np.any(np.abs(ratio_plain) < 1e-12) or np.any(np.abs(ratio_star) < 1e-12):
             raise NumericalError("well seed undefined at vanishing external field")
         Rv = 0.5 * (np.log(np.abs(ratio_plain)) + np.log(np.abs(ratio_star)))
         Tv = np.angle(ratio_plain)

@@ -10,14 +10,13 @@ That complement is the rank-one factor 1 / (1 + sum u^2 / symbol) of each
 fiber, and since box averaging is a product of one-dimensional box averages,
 u^2 is a product of per-axis tables: the step contracts them with the input
 symbol in its own layout, slab by slab, without gathering the fibers.  A
-symbol is a sum of broadcastable terms.  When each term spans only the time
-axis or only space, as the heat operator minus mu does, the step takes the
-time-plus-space path: one time resolvent per distinct value of the space
-terms' sum, gathered and contracted per output row, so the full grid of a
-chain's first action is never written.  Any other action, such as a one-term
-grid, takes the slab path, which sums the terms one slab at a time and
-divides the weights by the sum.  Both run on the caller's thread and share
-the weight tables and the pole rule.
+symbol is one grid, or a time term plus a space term.  The heat operator
+minus mu is such a pair, and the step takes the time-plus-space path on it:
+one time resolvent per distinct value of the space term, gathered and
+contracted per output row, so the full grid of a chain's first action is
+never written.  A grid, such as every step's output, takes the grid path,
+which divides the weights by one slab of the grid at a time.  Both run on
+the caller's thread and share the weight tables and the pole rule.
 
 Localization splits a kernel into a mass and per-axis derivative kernels,
 one (4,) + extents array in FFT index order: kernels[axis][z mod N] is the
@@ -149,15 +148,14 @@ class QuadraticAction:
 
     The symbol is the kernel's symbol over the dual lattice in FFT index
     order (translation invariance is built in by the representation), held
-    as ``terms``: a tuple of complex arrays whose sum broadcasts to
-    ``extents``.  Each term spans an axis whole (extent N) or not at all
-    (extent 1), and together they span every axis; other shapes raise
+    as ``terms`` in one of two forms: a grid, one complex array shaped
+    ``extents``; or a (time, space) pair shaped (Nt, 1, 1, 1) and (1, Nx,
+    Ny, Nz), whose sum is the symbol.  Any other tuple raises
     :class:`LatticeError`.  An array passed in place of the tuple is one
     term, so QuadraticAction(extents, grid) holds that grid.
-    :func:`block_spin_step` picks its path by the terms' shapes: terms that
-    each span only time or only space are summed per side, any others slab
-    by slab, in order.  :attr:`symbol_grid` sums them whole, in order, on its
-    first read only.
+    :func:`block_spin_step` steps a pair on its time-plus-space path and a
+    grid on its grid path.  :attr:`symbol_grid` is the grid, or the pair's
+    sum formed on its first read only.
     """
 
     extents: tuple[int, int, int, int]
@@ -168,30 +166,29 @@ class QuadraticAction:
         extents = tuple(map(int, self.extents))
         terms = tuple([np.asarray(t, dtype=complex) for t in
                        (self.terms if isinstance(self.terms, tuple) else (self.terms,))])
-        shapes = tuple([t.shape for t in terms])
-        if not _sum_shape_is(shapes, extents):
-            raise LatticeError(f"symbol terms shaped {list(shapes)} do not broadcast to extents {extents}")
+        shapes = [t.shape for t in terms]
+        Nt, *space = extents
+        if shapes not in ([extents], [(Nt, 1, 1, 1), (1, *space)]):
+            raise LatticeError(f"symbol terms shaped {shapes} are neither a grid nor a (time, space) pair "
+                               f"for extents {extents}")
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "terms", terms)
 
     @cached_property
     def symbol_grid(self) -> np.ndarray:
-        """The symbol over the whole dual lattice: the terms' sum, kept after
-        its first read (a one-term action's grid is its term)."""
-        grid = self.terms[0]
-        for term in self.terms[1:]:
-            grid = grid + term
-        return grid
+        """The symbol over the whole dual lattice: the grid, or time + space
+        formed on the first read and kept."""
+        return self.terms[0] if len(self.terms) == 1 else self.terms[0] + self.terms[1]
 
     @classmethod
     def from_heat_minus_mu(cls, extents, mu: float, d: float = 1.0) -> "QuadraticAction":
-        """Unit-lattice heat symbol minus a mass term, as two per-axis terms.
+        """Unit-lattice heat symbol minus a mass term, as a (time, space) pair.
 
         The time term -d (exp(i k0) - 1) is shaped (Nt, 1, 1, 1); the space
         term, the spatial Laplacian's symbol minus mu, is shaped (1, Nx, Ny,
         Nz).  No full grid is written: :func:`block_spin_step` takes its
-        time-plus-space path on the two terms, and only :attr:`symbol_grid`
-        forms their sum whole.
+        time-plus-space path on the pair, and only :attr:`symbol_grid` forms
+        their sum whole.
         """
         Nt, Nx, Ny, Nz = extents
         lap = {N: 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(N) / N) for N in {Nx, Ny, Nz}}
@@ -203,18 +200,6 @@ class QuadraticAction:
 
 #: step weights below this are round-off of the profile's exact zeros
 _TINY = np.finfo(float).tiny
-
-
-def _sum_shape_is(shapes: tuple[tuple[int, ...], ...], extents: tuple[int, ...]) -> bool:
-    """Whether arrays of these shapes sum by broadcasting to exactly
-    ``extents``, each having per axis extent 1 or the full extent."""
-    for shape in shapes:
-        if len(shape) != len(extents):
-            return False
-        for n, e in zip(shape, extents):
-            if n != 1 and n != e:
-                return False
-    return bool(shapes) and tuple(map(max, zip(*shapes))) == extents
 
 
 def _quotient(w: np.ndarray, a: np.ndarray, pole: np.ndarray | None) -> np.ndarray:
@@ -248,16 +233,14 @@ def _fiber_poles(a: np.ndarray, time2: np.ndarray, space2: np.ndarray):
     return _pole_rows(a, lambda: np.sqrt(np.multiply.outer(time2, space2)), (0, 2, 4, 6))
 
 
-def _slab_rows(terms: tuple[np.ndarray, ...], time2: np.ndarray, space2: np.ndarray):
-    """The slab path: sigma over slabs of output time rows, from the terms'
-    sum on each slab's fibers."""
+def _grid_rows(grid: np.ndarray, time2: np.ndarray, space2: np.ndarray):
+    """The grid path: sigma over slabs of output time rows, from each slab's
+    fibers, a view of the grid."""
     (mt, nt), (mx, nx) = time2.shape, space2.shape[:2]
-    # terms with the time axis split (block, unit), or (1, 1) where they do not span it
-    terms = [t.reshape((mt, nt) + t.shape[1:] if len(t) > 1 else (1, 1) + t.shape[1:]) for t in terms]
+    fibers = grid.reshape(mt, nt, mx, nx, mx, nx, mx, nx)
 
     def rows(time_rows: slice) -> np.ndarray:
-        parts = [t if t.shape[1] == 1 else t[:, time_rows] for t in terms]
-        a = sum(parts[1:], parts[0]).reshape(mt, -1, mx, nx, mx, nx, mx, nx)
+        a = fibers[:, time_rows]
         pole, has = _fiber_poles(a, time2[:, time_rows], space2)
 
         def block(x: int) -> np.ndarray:  # one x block at a time into one accumulator
@@ -320,31 +303,28 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     output streams in slabs of whole output time rows, as many as fit in
     ``symbols._BATCH_ENTRIES`` fiber entries but at least one, on the
     caller's thread, and a row named by an error is re-based to the whole
-    output.  Two paths compute a slab, chosen by the shape of the terms:
+    output.  Two paths compute a slab, chosen by the action's form:
 
-    * Time plus space: when every term spans only the time axis or only
-      space, as the two terms of :meth:`QuadraticAction.from_heat_minus_mu`
-      do, the symbol is tau(k0) + s(kvec), tau the time terms' sum and s the
-      space terms'.  s takes few distinct values (the Laplacian's symbol is
-      symmetric under the cube's reflections and permutations), so the time
-      resolvent G[i_t, u] = sum_jt time2[j_t, i_t] / (tau + s_u) is formed
-      once per distinct value s_u, and T[i_t, K] = sum over the spatial
-      blocks of space2 times G[i_t, u(K + m)] is a gather and one
-      contraction.  The pole test runs on the (mt, rows, distinct values)
+    * Time plus space: a (time, space) pair, as
+      :meth:`QuadraticAction.from_heat_minus_mu` builds, is the symbol
+      tau(k0) + s(kvec), tau the time term and s the space term.  s takes
+      few distinct values (the Laplacian's symbol is symmetric under the
+      cube's reflections and permutations), so the time resolvent G[i_t, u]
+      = sum_jt time2[j_t, i_t] / (tau + s_u) is formed once per distinct
+      value s_u, and T[i_t, K] = sum over the spatial blocks of space2 times
+      G[i_t, u(K + m)] is a gather and one contraction.  The pole test runs on the (mt, rows, distinct values)
       table of tau + s_u, the same values as the fibers.  When it finds a
-      pole, the rule runs on the slab's fibers as on the slab path, so the
+      pole, the rule runs on the slab's fibers as on the grid path, so the
       two paths name the same row with the same message, and the pole
       entries are left out of G: every row that reads one holds that pole
       and maps to 0 or raises.
-    * Slab: any other action, such as a one-term grid (every step of a chain
-      after the first).  Each slab of the symbol is the sum of its terms'
-      slabs: a term that spans the time axis is sliced to the slab's rows,
-      one that does not is added whole, and a one-term action's slab is a
-      view of its grid.  The slab is divided one x block at a time into one
-      accumulator, so the step holds the slab sum, two 1/mx-slab temporaries
-      (1 MB each for one time row of a (243,27,27,27) grid) and the pole
-      test's.  The sum runs over the x, y and z block axes, then over the
-      time block axis with its table.
+    * Grid: a one-term action, such as every step's output (so every step
+      of a chain after the first).  A slab is its time rows of one (mt, nt,
+      mx, nx, mx, nx, mx, nx) view of the grid, not a copy.  It is divided
+      one x block at a time into one accumulator, so the step holds two
+      1/mx-slab temporaries (1 MB each for one time row of a (243,27,27,27)
+      grid) and the pole test's.  The sum runs over the x, y and z block
+      axes, then over the time block axis with its table.
 
     Neither path writes the whole input grid.  The two agree to round-off
     (they sum in different orders), and both call the traced names
@@ -357,21 +337,18 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     (sum of qhat^2 over each fiber is 1) gives 1/symbol = 1/a_n - 1 +
     1/zero_field_symbol at scale n, with a_n = :attr:`FlowParams.a`: the
     running prefactor builds up over the chain rather than being applied
-    per step.  The output is a one-term action.
+    per step.  The output is a grid.
     """
     Nt, Nx = action.extents[:2]
     if Nt % (L * L) != 0 or Nx % L != 0 or action.extents[2:] != (Nx, Nx):
         raise LatticeError(f"block step needs L^2 | Nt, L | Nx and cubic space, got {action.extents}, L={L}")
     out = make_shape(1, L, Nt // (L * L), Nx // L)
     time2, space2 = _step_weights(out, L, profile)
-    time_terms = [t.reshape(-1) for t in action.terms if t.shape[1:] == (1, 1, 1)]
-    space_terms = [t[0] for t in action.terms if t.shape[1:] != (1, 1, 1) and len(t) == 1]
-    if len(time_terms) + len(space_terms) == len(action.terms):  # no term spans both time and space
-        tau = sum(time_terms, np.zeros(Nt, dtype=complex)).reshape(time2.shape)
-        space = sum(space_terms, np.zeros((Nx,) * 3, dtype=complex))
-        rows = _time_plus_space_rows(tau, space, time2, space2)
+    if len(action.terms) == 2:
+        time, space = action.terms
+        rows = _time_plus_space_rows(time.reshape(time2.shape), space[0], time2, space2)
     else:
-        rows = _slab_rows(action.terms, time2, space2)
+        rows = _grid_rows(action.terms[0], time2, space2)
     sigma = _row_batches(out.Nt, math.prod(action.extents) // out.Nt, rows)
     return QuadraticAction(out.unit_extents, sigma.reshape(out.unit_extents), provenance=f"step({action.provenance})")
 
@@ -593,20 +570,22 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
     closed form L^(2n) mu0.  The per-step correction is
     :func:`quadratic_mass_correction`'s closed form, so no step runs, and
     ``profile`` does not change the trace: the quadratic level is blind to
-    the averaging profile.  ``shape`` sets the well geometry and must admit
-    a block step (L^2 | Nt, L | Nx), else :class:`LatticeError`.  When the
-    next scale's fixed point does not exist or its correction is not a
-    contraction (near the correction's pole at input mu = L^-2), the trace
-    ends at the last good scale: the sampled contraction test fails, or the
-    fixed-point orbit stops contracting (see :func:`renormalize_mu`).  Each
-    renormalized mu is within 1e-12 * max(1, mu) of its fixed point by the
-    orbit's estimated contraction rate.  The last row's ``stop`` records why
-    the trace ended.
+    the averaging profile.  ``shape`` must admit a block step (L^2 | Nt,
+    L | Nx), else :class:`LatticeError` before any row; the well geometry
+    is per site and does not read it.  When the next scale's fixed point
+    does not exist or its correction is not a contraction (near the
+    correction's pole at input mu = L^-2), the trace ends at the last good
+    scale: the sampled contraction test fails, or the fixed-point orbit
+    stops contracting (see :func:`renormalize_mu`).  Each renormalized mu is
+    within 1e-12 * max(1, mu) of its fixed point by the orbit's estimated
+    contraction rate.  The last row's ``stop`` records why the trace ended.
     """
+    Nt, Nx = shape.unit_extents[:2]
+    if Nt % (L * L) != 0 or Nx % L != 0:
+        raise LatticeError(f"block step needs L^2 | Nt and L | Nx, got {shape.unit_extents}, L={L}")
     n_last = max_steps(v0, L)
     if steps is not None:
         n_last = min(n_last, steps - 1)
-    Nt, Nx = shape.unit_extents[:2]
     trace: list[FlowStep] = []
     mu_running = mu0
     stop = "max_steps"
@@ -625,8 +604,6 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
         if not renormalize:
             mu_running = L * L * mu_running
             continue
-        if Nt % (L * L) != 0 or Nx % L != 0:
-            raise LatticeError(f"block step needs L^2 | Nt and L | Nx, got {shape.unit_extents}, L={L}")
         try:
             mu_running = renormalize_mu(params, lambda m: quadratic_mass_correction(m / (L * L), L))
         except NumericalError as exc:

@@ -192,6 +192,26 @@ def test_well_linear_zero_and_constant():
     np.testing.assert_allclose(H.values, 0.0, atol=1e-12)
 
 
+def test_well_linear_rejects_a_nan_residual():
+    # a NaN datum gives a NaN residual, which no bound admits
+    vals = np.zeros(TIMEY.unit_extents, dtype=complex)
+    vals[1, 0, 0, 0] = np.nan
+    with pytest.raises(NumericalError, match="well solve residual nan"):
+        solve_well_linear(Field(TIMEY, "unit", vals), Field.zeros(TIMEY, "unit"), ModelParams(mu=2.0, v=0.5), TIMEY)
+
+
+@pytest.mark.parametrize("member", ["starred", "plain"])
+def test_well_seed_rejects_a_vanishing_external_field(member):
+    # the seed takes the log of both members' moduli: a zero in either has none
+    params = ModelParams(mu=2.0, v=0.5)
+    vals = np.full(TIMEY.unit_extents, params.well_radius, dtype=complex)
+    vals[1, 0, 0, 0] = 0.0
+    good, bad = Field.constant(TIMEY, "unit", params.well_radius), Field(TIMEY, "unit", vals)
+    pair = FieldPair(bad, good) if member == "starred" else FieldPair(good, bad)
+    with pytest.raises(NumericalError, match="well seed undefined"):
+        solve_nonlinear(pair, params, TIMEY, seed_strategy="well")
+
+
 def test_well_ansatz_quadratic_scaling():
     rng = np.random.default_rng(4)
     params = ModelParams(mu=2.0, v=0.5)

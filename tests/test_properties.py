@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from blockspin import flow, symbols
+from blockspin import symbols
 from blockspin.background import ModelParams, _direct_operator, _FiberOperator
 from blockspin.flow import (QuadraticAction, apply_offset_kernel, block_spin_step, block_spin_step_dense,
                             localize_quadratic, quadratic_action_form)
@@ -140,7 +140,7 @@ def test_block_spin_step_matches_dense(dims, profile, mu, seed):
 def test_block_spin_step_in_slabs_matches_dense(dims, profile, mu, seed):
     # dims = (L, output time extent, output spatial extent); with the batch
     # budget at one entry every output time row is a slab of its own.  The
-    # heat-minus-mu draws are one-term grids, so that all of them take the slab path
+    # heat-minus-mu draws are one-term grids, so that all of them take the grid path
     L, nt, nx = dims
     extents = (L * L * nt, L * nx, L * nx, L * nx)
     if mu is None:
@@ -185,24 +185,6 @@ def test_time_plus_space_step_matches_dense(dims, profile, repeated, seed):
     _close(fast, block_spin_step_dense(action, 3, profile).symbol_grid)
     slab = block_spin_step(QuadraticAction(extents, action.symbol_grid), 3, profile).symbol_grid
     np.testing.assert_allclose(fast, slab, rtol=1e-13, atol=0)
-
-
-@settings(max_examples=4)
-@given(step_dims, profiles, st.integers(0, 2**16))
-def test_mixed_term_step_takes_the_slab_path_and_matches_dense(dims, profile, seed):
-    # a third term spanning time and x couples the two: the slab path steps it
-    nt, Nx = dims
-    extents = (9 * nt, Nx, Nx, Nx)
-    rng = np.random.default_rng(seed)
-    mixed = 0.1 * (rng.random((9 * nt, Nx, 1, 1)) + 1j * rng.standard_normal((9 * nt, Nx, 1, 1)))
-    action = QuadraticAction(extents, _time_and_space_terms(extents, rng, False) + (mixed,))
-    divides = []
-    quotient = flow._quotient
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flow, "_quotient", lambda *args: divides.append(1) or quotient(*args))
-        fast = block_spin_step(action, 3, profile).symbol_grid
-    assert divides
-    _close(fast, block_spin_step_dense(action, 3, profile).symbol_grid)
 
 
 @given(st.integers(2, 6), st.data())
