@@ -63,7 +63,7 @@ class ActionValue:
 
 
 def action_value(psi_pair: FieldPair, phi_pair: FieldPair, params: ModelParams,
-                 shape: TorusShape, profile: AveragingProfile = SHARP) -> ActionValue:
+                 profile: AveragingProfile = SHARP) -> ActionValue:
     """Evaluate the four parts of the action."""
     if psi_pair.level != "unit" or phi_pair.level != "fine":
         raise LatticeError("external fields live on the unit lattice, backgrounds on the fine one")
@@ -80,17 +80,18 @@ def action_value(psi_pair: FieldPair, phi_pair: FieldPair, params: ModelParams,
 
 
 def fd_stationarity(psi_pair: FieldPair, phi_pair: FieldPair, params: ModelParams,
-                    shape: TorusShape, rng: np.random.Generator, n_directions: int = 20,
-                    step: float = 1e-4, profile: AveragingProfile = SHARP) -> float:
-    """Max |central finite difference| of the action along random directions.
+                    shape: TorusShape, rng: np.random.Generator, profile: AveragingProfile = SHARP) -> float:
+    """Max |central finite difference| of the action along 20 random directions.
 
-    Perturbs (phi_star, phi) jointly; at a true stationary point the value is
-    limited by the solver residual and the O(step^2) truncation.
+    Perturbs (phi_star, phi) jointly with step 1e-4; at a true stationary
+    point the value is limited by the solver residual and the O(step^2)
+    truncation.
     """
     worst = 0.0
+    step = 1e-4
     base_star = phi_pair.starred.values
     base_plain = phi_pair.plain.values
-    for _ in range(n_directions):
+    for _ in range(20):
         eta_star = rng.standard_normal(shape.fine_extents) + 1j * rng.standard_normal(shape.fine_extents)
         eta_plain = rng.standard_normal(shape.fine_extents) + 1j * rng.standard_normal(shape.fine_extents)
         eta_star /= max(1e-300, np.max(np.abs(eta_star)))
@@ -101,7 +102,7 @@ def fd_stationarity(psi_pair: FieldPair, phi_pair: FieldPair, params: ModelParam
                 Field(shape, "fine", base_star + t * eta_star),
                 Field(shape, "fine", base_plain + t * eta_plain),
             )
-            return action_value(psi_pair, pp, params, shape, profile).total
+            return action_value(psi_pair, pp, params, profile).total
 
         deriv = (at(step) - at(-step)) / (2.0 * step)
         worst = max(worst, abs(deriv))
@@ -121,7 +122,7 @@ class EffectivePotential:
     background_amplitude: float
 
 
-def effective_potential(z: complex, flow, shape: TorusShape) -> EffectivePotential:
+def effective_potential(z: complex, flow) -> EffectivePotential:
     """Two routes to the per-site potential at constant external field z.
 
     closed form: (v_n/2)|z|^4 - mu_n |z|^2 (the quartic well).
@@ -133,7 +134,7 @@ def effective_potential(z: complex, flow, shape: TorusShape) -> EffectivePotenti
     v_n = flow.v
     az = abs(z)
     closed = 0.5 * v_n * az**4 - mu_n * az**2
-    roots = solve_constant(az, ModelParams(mu=mu_n, v=v_n, d=max(1.0, flow.d)))
+    roots = solve_constant(az, ModelParams(mu=mu_n, v=v_n))
     amp = min(roots, key=lambda r: abs(r - az))
     via = (az - amp) ** 2 + 0.5 * v_n * amp**4 - mu_n * amp**2
     return EffectivePotential(closed_form=float(closed), via_background=float(via), background_amplitude=float(amp))
@@ -142,23 +143,19 @@ def effective_potential(z: complex, flow, shape: TorusShape) -> EffectivePotenti
 @dataclass(frozen=True)
 class WellGeometry:
     radius: float
-    depth: float
-    per_site: bool
+    depth: float  # per unit site
 
     def __post_init__(self):
         if self.radius < 0:
             raise LatticeError("well radius must be nonnegative")
 
 
-def well_geometry(flow, shape: TorusShape, per_site: bool = True) -> WellGeometry:
-    """Radius and depth of the circular minimum of the effective potential."""
+def well_geometry(flow) -> WellGeometry:
+    """Radius sqrt(mu/v) and per-site depth -mu^2/(2v) of the circular
+    minimum of the effective potential."""
     if flow.mu <= 0:
         raise LatticeError("well geometry needs mu > 0")
-    radius = float(np.sqrt(flow.mu / flow.v))
-    depth = -0.5 * flow.mu**2 / flow.v
-    if not per_site:
-        depth *= shape.sites("unit")
-    return WellGeometry(radius=radius, depth=float(depth), per_site=per_site)
+    return WellGeometry(radius=float(np.sqrt(flow.mu / flow.v)), depth=float(-0.5 * flow.mu**2 / flow.v))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +224,11 @@ def _distance_to_negative_axis(lams: np.ndarray) -> np.ndarray:
     return np.where(x > 0, np.hypot(x, y), np.abs(y))
 
 
-def fluctuation_spectrum(params: ModelParams, shape: TorusShape,
-                         profile: AveragingProfile = SHARP, dense_cap: int = 2500) -> SpectrumReport:
+#: the largest coupled fiber core the spectrum decomposes densely
+_SPECTRUM_CAP = 2500
+
+
+def fluctuation_spectrum(params: ModelParams, shape: TorusShape, profile: AveragingProfile = SHARP) -> SpectrumReport:
     """Exact spectrum of (averaging mass + heat - mu) over momentum fibers.
 
     Per unit momentum the fiber matrix is diag(heat - mu) plus the rank-one
@@ -255,9 +255,9 @@ def fluctuation_spectrum(params: ModelParams, shape: TorusShape,
         ac, uc = a[coupled], u[coupled]
         if ac.size == 0:
             continue
-        if ac.size > dense_cap:
+        if ac.size > _SPECTRUM_CAP:
             raise LatticeError(
-                f"coupled fiber of size {ac.size} exceeds the dense spectral cap {dense_cap}"
+                f"coupled fiber of size {ac.size} exceeds the dense spectral cap {_SPECTRUM_CAP}"
             )
         M = np.diag(ac) + np.outer(uc, uc)
         eigs_all.append(np.linalg.eigvals(M))

@@ -234,9 +234,12 @@ def solve_linear(psi_pair: FieldPair, params: ModelParams, shape: TorusShape,
 # linearization around the well bottom (radial / tangential components)
 # ---------------------------------------------------------------------------
 
+#: the well solve's residual bound, relative to max(1, |R|, |Theta|)
+_WELL_RESIDUAL_TOL = 1e-10
+
+
 def solve_well_linear(R: Field, Theta: Field, params: ModelParams, shape: TorusShape,
-                      mode: str = "discrete", profile: AveragingProfile = SHARP,
-                      check_tol: float = 1e-10) -> tuple[Field, Field]:
+                      mode: str = "discrete", profile: AveragingProfile = SHARP) -> tuple[Field, Field]:
     """Solve the linearized radial/tangential system per momentum fiber.
 
     Returns (X, H) with  welloperator [X; H] = average_adjoint [R; Theta];
@@ -256,8 +259,8 @@ def solve_well_linear(R: Field, Theta: Field, params: ModelParams, shape: TorusS
     X, H = Field(shape, "fine", XH[..., 0]), Field(shape, "fine", XH[..., 1])
     resid = _well_residual(X, H, R, Theta, params, shape, mode, profile)
     scale = max(1.0, float(np.max(np.abs(R.values))), float(np.max(np.abs(Theta.values))))
-    if not resid <= check_tol * scale:  # a NaN residual fails too
-        raise NumericalError(f"well solve residual {resid:.3e} exceeds {check_tol:.1e}")
+    if not resid <= _WELL_RESIDUAL_TOL * scale:  # a NaN residual fails too
+        raise NumericalError(f"well solve residual {resid:.3e} exceeds {_WELL_RESIDUAL_TOL:g}")
     return X, H
 
 
@@ -312,9 +315,6 @@ def _seed_fields(psi_pair, params, shape, profile, strategy, fiber, psi_rhs):
     """Newton's starting pair (phi_star, phi); the linearized seed solves
     :func:`solve_linear`'s system with the solve's own fiber operator and
     right-hand sides Q* psi."""
-    if strategy == "zero":
-        z = np.zeros(shape.fine_extents, dtype=complex)
-        return z.copy(), z.copy()
     if strategy == "linearized":
         rhs_star, rhs_plain = psi_rhs
         return fiber.solve_field(rhs_star, transpose=True), fiber.solve_field(rhs_plain)

@@ -69,14 +69,14 @@ class FlowParams:
     ``a`` is the block prefactor a_n = (1 - L^-2) / (1 - L^-2n), with
     1/a_n = sum_{j<n} L^-2j.  It is the composite weight of a chain of n
     SHARP :func:`block_spin_step` calls, each of which uses weight 1/L^2
-    (a = 1 per step).
+    (a = 1 per step).  The time-derivative weight is 1 at every scale, the
+    default of :class:`blockspin.background.ModelParams`.
     """
 
     n: int
     L: int
     mu: float
     v: float
-    d: float
     a: float
     kappa: float
     kappa_prime: float
@@ -99,13 +99,13 @@ def max_steps(v0: float, L: int) -> int:
     return int(math.floor(0.4 * math.log(1.0 / v0) / math.log(L)))
 
 
-def admissible_window(mu0: float, v0: float, mu_star: float = 0.0) -> tuple[float, float]:
+def admissible_window(mu0: float, v0: float) -> tuple[float, float]:
     """(lower, upper) admissible bounds for the initial chemical potential."""
-    return (mu_star + v0**1.25, v0**0.9)
+    return (v0**1.25, v0**0.9)
 
 
 def flow_params_at(n: int, mu0: float, v0: float, L: int, eps: float = 0.01,
-                   d_schedule=None, mu_override: float | None = None) -> FlowParams:
+                   mu_override: float | None = None) -> FlowParams:
     """Running couplings at scale n from the closed-form leading flow.
 
     mu_n = L^(2n) mu0 (or the supplied override from a renormalized trace),
@@ -121,14 +121,12 @@ def flow_params_at(n: int, mu0: float, v0: float, L: int, eps: float = 0.01,
     if n > max_steps(v0, L):
         warnings.warn(f"scale {n} beyond the admissible number of steps {max_steps(v0, L)}")
     mu = float(mu_override) if mu_override is not None else float(L ** (2 * n)) * mu0
-    d = 1.0 if d_schedule is None else float(d_schedule(n))
     radius_base = v0 ** (-1.0 / 3.0 + eps)
     return FlowParams(
         n=n,
         L=L,
         mu=mu,
         v=v0 / float(L**n),
-        d=d,
         a=_block_prefactor(n, L),
         kappa=float(L) ** (0.75 * n) * radius_base,
         kappa_prime=float(L) ** (0.375 * n) * radius_base,
@@ -160,7 +158,6 @@ class QuadraticAction:
 
     extents: tuple[int, int, int, int]
     terms: tuple[np.ndarray, ...]
-    provenance: str = ""
 
     def __post_init__(self):
         extents = tuple(map(int, self.extents))
@@ -194,8 +191,7 @@ class QuadraticAction:
         lap = {N: 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(N) / N) for N in {Nx, Ny, Nz}}
         space = -mu + lap[Nx].reshape(-1, 1, 1) + lap[Ny].reshape(-1, 1) + lap[Nz]
         time = -d * (np.exp(1j * (2.0 * np.pi * np.arange(Nt) / Nt)) - 1.0)
-        return cls(tuple(extents), (time.reshape(Nt, 1, 1, 1), space.astype(complex).reshape(1, Nx, Ny, Nz)),
-                   provenance=f"heat-mu (mu={mu}, d={d})")
+        return cls(tuple(extents), (time.reshape(Nt, 1, 1, 1), space.astype(complex).reshape(1, Nx, Ny, Nz)))
 
 
 #: step weights below this are round-off of the profile's exact zeros
@@ -350,11 +346,14 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     else:
         rows = _grid_rows(action.terms[0], time2, space2)
     sigma = _row_batches(out.Nt, math.prod(action.extents) // out.Nt, rows)
-    return QuadraticAction(out.unit_extents, sigma.reshape(out.unit_extents), provenance=f"step({action.provenance})")
+    return QuadraticAction(out.unit_extents, sigma.reshape(out.unit_extents))
 
 
-def block_spin_step_dense(action: QuadraticAction, L: int, profile: AveragingProfile = SHARP,
-                          max_sites: int = 4096) -> QuadraticAction:
+#: the dense step oracle's site cap: its Gaussian is a dense sites x sites matrix
+_DENSE_STEP_SITES = 4096
+
+
+def block_spin_step_dense(action: QuadraticAction, L: int, profile: AveragingProfile = SHARP) -> QuadraticAction:
     """Oracle: the same step through dense Gaussian (Schur-complement) algebra.
 
     Builds the dense input form, the dense averaging matrices, and the exact
@@ -366,14 +365,15 @@ def block_spin_step_dense(action: QuadraticAction, L: int, profile: AveragingPro
     """
     extents = action.extents
     sites = int(np.prod(extents))
-    if sites > max_sites:
-        raise LatticeError(f"dense oracle capped at {max_sites} sites")
+    if sites > _DENSE_STEP_SITES:
+        raise LatticeError(f"dense oracle capped at {_DENSE_STEP_SITES} sites")
     kernel = np.fft.fftn(action.symbol_grid) / sites
     # A[x, y] = K(y - x) = doubled[N - x + y], the kernel doubled along every axis: one strided copy
     windows = np.lib.stride_tricks.sliding_window_view(np.tile(kernel, (2, 2, 2, 2)), extents)
     A = windows[tuple(slice(N, 0, -1) for N in extents)].reshape(sites, sites)
     shape0 = TorusShape(0, L, extents[0], extents[1])
-    Qstar = operator_matrix(lambda f: block_average_adjoint(f, profile), shape0, "coarse", "unit", max_sites=max_sites)
+    Qstar = operator_matrix(lambda f: block_average_adjoint(f, profile), shape0, "coarse", "unit",
+                           max_sites=_DENSE_STEP_SITES)
     Q = Qstar.T / L**5
     Lsq = float(L * L)
     G = A + Qstar @ Q / Lsq
@@ -382,7 +382,7 @@ def block_spin_step_dense(action: QuadraticAction, L: int, profile: AveragingPro
     new_extents = (extents[0] // (L * L), extents[1] // L, extents[2] // L, extents[3] // L)
     row0 = out_op[0, :].reshape(new_extents)
     symbol = np.fft.ifftn(row0) * coarse_sites * Lsq
-    return QuadraticAction(new_extents, symbol, provenance=f"dense-step({action.provenance})")
+    return QuadraticAction(new_extents, symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -550,17 +550,8 @@ class FlowStep:
     stop: str | None = None
 
 
-def _classify_step(params: FlowParams, stop_mu: float) -> str:
-    if params.d > 10.0:
-        return "elliptic"
-    if params.mu < stop_mu:
-        return "parabolic"
-    return "transitional"
-
-
 def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None = None,
-             stop_mu: float = 0.5, eps: float = 0.01, renormalize: bool = True,
-             profile: AveragingProfile = SHARP, d_schedule=None) -> list[FlowStep]:
+             stop_mu: float = 0.5, renormalize: bool = True, profile: AveragingProfile = SHARP) -> list[FlowStep]:
     """Trace the running couplings across scales.
 
     Halts after floor((2/5) log(1/v0)/log L) steps (or ``steps`` rows) or
@@ -570,9 +561,10 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
     closed form L^(2n) mu0.  The per-step correction is
     :func:`quadratic_mass_correction`'s closed form, so no step runs, and
     ``profile`` does not change the trace: the quadratic level is blind to
-    the averaging profile.  ``shape`` must admit a block step (L^2 | Nt,
-    L | Nx), else :class:`LatticeError` before any row; the well geometry
-    is per site and does not read it.  When the next scale's fixed point
+    the averaging profile.  ``shape`` must be a torus of this L that admits
+    a block step (L^2 | Nt, L | Nx), else :class:`LatticeError` before any
+    row.  The well geometry is per site, and a row is "parabolic" below
+    ``stop_mu``, else "transitional".  When the next scale's fixed point
     does not exist or its correction is not a contraction (near the
     correction's pole at input mu = L^-2), the trace ends at the last good
     scale: the sampled contraction test fails, or the fixed-point orbit
@@ -580,8 +572,9 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
     within 1e-12 * max(1, mu) of its fixed point by the orbit's estimated
     contraction rate.  The last row's ``stop`` records why the trace ended.
     """
-    Nt, Nx = shape.unit_extents[:2]
-    if Nt % (L * L) != 0 or Nx % L != 0:
+    if shape.L != L:
+        raise LatticeError(f"run_flow at L={L} on a torus of L={shape.L}")
+    if not shape.can_block_step:
         raise LatticeError(f"block step needs L^2 | Nt and L | Nx, got {shape.unit_extents}, L={L}")
     n_last = max_steps(v0, L)
     if steps is not None:
@@ -590,12 +583,9 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
     mu_running = mu0
     stop = "max_steps"
     for n in range(n_last + 1):
-        params = flow_params_at(
-            n, mu0, v0, L, eps=eps, d_schedule=d_schedule,
-            mu_override=mu_running if renormalize else None,
-        )
-        well = well_geometry(params, shape, per_site=True)
-        trace.append(FlowStep(params, well.radius, well.depth, _classify_step(params, stop_mu)))
+        params = flow_params_at(n, mu0, v0, L, mu_override=mu_running if renormalize else None)
+        well = well_geometry(params)
+        trace.append(FlowStep(params, well.radius, well.depth, "parabolic" if params.mu < stop_mu else "transitional"))
         if params.mu >= stop_mu:
             stop = "stop_mu"
             break

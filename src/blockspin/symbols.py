@@ -374,8 +374,12 @@ def zero_field_symbol(k, mu, d, shape: TorusShape, mode: str = "discrete", profi
     return sigma if sigma.ndim else complex(sigma)
 
 
-def zero_field_symbol_dense(k, mu, d, shape: TorusShape, mode: str = "discrete",
-                            profile: AveragingProfile = SHARP, cap: int = 2500):
+#: the largest coupled fiber the dense oracles invert: zero-field, and well (2x2 blocks)
+_DENSE_FIBER_CAP = 2500
+_WELL_FIBER_CAP = 1500
+
+
+def zero_field_symbol_dense(k, mu, d, shape: TorusShape, mode: str = "discrete", profile: AveragingProfile = SHARP):
     """Oracle: the same symbol via dense inversion of the coupled sub-fiber.
 
     Fiber indices with (numerically) vanishing averaging weight decouple from
@@ -386,15 +390,15 @@ def zero_field_symbol_dense(k, mu, d, shape: TorusShape, mode: str = "discrete",
     a, u = _fiber_terms(np.asarray(k, float).reshape(4) + block_momenta(shape), mu, d, shape, mode, profile)
     coupled = np.abs(u) > _DEAD_WEIGHT
     ac, uc = a[coupled], u[coupled]
-    if ac.size > cap:
-        raise LatticeError(f"coupled fiber of size {ac.size} exceeds the dense-oracle cap {cap}")
+    if ac.size > _DENSE_FIBER_CAP:
+        raise LatticeError(f"coupled fiber of size {ac.size} exceeds the dense-oracle cap {_DENSE_FIBER_CAP}")
     M = np.diag(ac) + np.outer(uc, uc)
     x = np.linalg.solve(M, uc)
     return complex(1.0 - uc @ x)
 
 
 def delta_identity_check(k, shape: TorusShape, d: float = 1.0, mode: str = "discrete",
-                         profile: AveragingProfile = SHARP, cap: int = 2500):
+                         profile: AveragingProfile = SHARP):
     """Cross-check of the averaged-resolvent factorization at mu = 0.
 
     lhs: dense coupled-fiber value of the averaged resolvent symbol.
@@ -409,7 +413,7 @@ def delta_identity_check(k, shape: TorusShape, d: float = 1.0, mode: str = "disc
         raise NumericalError("excluded point: the heat symbol vanishes somewhere on this fiber (k = 0)")
     A = complex(np.sum(u * u / a))
     rhs = A / (1.0 + A)
-    lhs = 1.0 - zero_field_symbol_dense(kk, 0.0, d, shape, mode, profile, cap=cap)
+    lhs = 1.0 - zero_field_symbol_dense(kk, 0.0, d, shape, mode, profile)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -463,8 +467,7 @@ def well_symbol(k, mu, d, shape: TorusShape, mode: str = "continuum",
     return _in_batches(k, shape, rows)
 
 
-def well_fiber_dense(k, mu, d, shape: TorusShape, mode: str = "continuum",
-                     profile: AveragingProfile = SHARP, cap: int = 1500):
+def well_fiber_dense(k, mu, d, shape: TorusShape, mode: str = "continuum", profile: AveragingProfile = SHARP):
     """Oracle: dense coupled-fiber matrix of the full well operator and its
     averaged inverse.
 
@@ -478,8 +481,8 @@ def well_fiber_dense(k, mu, d, shape: TorusShape, mode: str = "continuum",
     uc = u[coupled]
     Dc = D[coupled]
     B = uc.size
-    if B > cap:
-        raise LatticeError(f"coupled fiber of size {B} exceeds the dense-oracle cap {cap}")
+    if B > _WELL_FIBER_CAP:
+        raise LatticeError(f"coupled fiber of size {B} exceeds the dense-oracle cap {_WELL_FIBER_CAP}")
     M = np.zeros((2 * B, 2 * B), dtype=complex)
     for i in range(B):
         M[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = Dc[i]
@@ -508,26 +511,23 @@ class SmallKFit:
     samples: int
 
 
-def fit_window_momenta(window: float, include_zero: bool = True) -> np.ndarray:
-    """Symmetric sample stencil with per-axis components in {0, +-w/2, +-w}."""
+def fit_window_momenta(window: float) -> np.ndarray:
+    """Symmetric sample stencil, (625, 4): every 4-tuple of per-axis
+    components in {0, +-w/2, +-w}, k = 0 included."""
     vals = np.array([-window, -window / 2, 0.0, window / 2, window])
     grids = np.meshgrid(vals, vals, vals, vals, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    if not include_zero:
-        pts = pts[np.any(pts != 0.0, axis=1)]
-    return pts
+    return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def small_k_fit(symbol, window: float, momenta: np.ndarray | None = None) -> SmallKFit:
-    """Fit symbol(k) = mass + c1*(-i*k0) + c2*k0^2 + c3*|kvec|^2 in the window.
+def small_k_fit(symbol, window: float) -> SmallKFit:
+    """Fit symbol(k) = mass + c1*(-i*k0) + c2*k0^2 + c3*|kvec|^2 in the window,
+    at the momenta of :func:`fit_window_momenta`.
 
     ``symbol`` is a callable taking momenta (..., 4) and returning complex
     values.  Halving the window must shrink the residual for a symbol with a
     genuine small-momentum expansion.
     """
-    if momenta is None:
-        momenta = fit_window_momenta(window)
-    momenta = np.asarray(momenta, dtype=float)
+    momenta = fit_window_momenta(window)
     y = np.asarray(symbol(momenta), dtype=complex).reshape(-1)
     k0 = momenta[:, 0]
     ksq = np.sum(momenta[:, 1:] ** 2, axis=1)
@@ -549,13 +549,15 @@ def small_k_fit(symbol, window: float, momenta: np.ndarray | None = None) -> Sma
     )
 
 
-def classify_regime(fit: SmallKFit, dominance: float = 3.0, mass_fraction: float = 0.2) -> str:
+def classify_regime(fit: SmallKFit) -> str:
     """Label a fit parabolic, elliptic, or transitional.
 
     At the window scale w the basis terms weigh |c1|*w (first-order time),
-    |c2|*w^2 (second-order time) and |mass|.  First-order dominance with a
-    negligible mass is parabolic; second-order dominance (or a pure mass) is
-    elliptic; anything else is transitional.
+    |c2|*w^2 (second-order time), |c3|*w^2 (space) and |mass|.  First-order
+    time more than 3 times second-order time plus mass, with the mass at
+    most 0.2 of the larger of the first-order time and space terms, is
+    parabolic; second-order time plus mass more than 3 times first-order
+    time is elliptic; anything else is transitional.
     """
     w = fit.window
     t1 = abs(fit.first_order_time) * w
@@ -565,9 +567,9 @@ def classify_regime(fit: SmallKFit, dominance: float = 3.0, mass_fraction: float
     scale = max(t1, t2, t3, tm)
     if scale == 0.0:
         return "transitional"
-    if t1 > dominance * (t2 + tm) and tm <= mass_fraction * max(t1, t3):
+    if t1 > 3.0 * (t2 + tm) and tm <= 0.2 * max(t1, t3):
         return "parabolic"
-    if (t2 + tm) > dominance * t1:
+    if (t2 + tm) > 3.0 * t1:
         return "elliptic"
     return "transitional"
 
@@ -586,10 +588,13 @@ def _envelope(e00, e01, e10, e11) -> np.ndarray:
 
 
 def momentum_bound_report(shape: TorusShape, mu: float, d: float, mode: str = "continuum",
-                          profile: AveragingProfile = SHARP, kgrid: np.ndarray | None = None,
-                          n_ell: int = 6, rng: np.random.Generator | None = None) -> dict:
+                          profile: AveragingProfile = SHARP, rng: np.random.Generator | None = None) -> dict:
     """Max entrywise ratios of the 2x2 matrix symbols against their expected
     (d, mu, |k|) scaling envelopes.
+
+    The small momenta k are 32 fixed points (a, b, b/2, 0) and (a, 0, b, b)
+    with a, b in {0.05, 0.1, 0.2, 0.4}; l runs over 6 nonzero block momenta
+    drawn with ``rng``.
 
     Parts:
       a: inverse well matrix at momenta bounded away from zero vs
@@ -603,20 +608,18 @@ def momentum_bound_report(shape: TorusShape, mu: float, d: float, mode: str = "c
     Returns {"a": ..., "b": ..., "c": ..., "d": ...}, each a finite float.
     """
     rng = rng or np.random.default_rng(0)
-    if kgrid is None:
-        base = np.array([0.05, 0.1, 0.2, 0.4])
-        pts = []
-        for a0 in base:
-            for a1 in base:
-                pts.append([a0, a1, a1 / 2, 0.0])
-                pts.append([a0, 0.0, a1, a1])
-        kgrid = np.asarray(pts)
-    kgrid = np.asarray(kgrid, dtype=float)
+    base = np.array([0.05, 0.1, 0.2, 0.4])
+    pts = []
+    for a0 in base:
+        for a1 in base:
+            pts.append([a0, a1, a1 / 2, 0.0])
+            pts.append([a0, 0.0, a1, a1])
+    kgrid = np.asarray(pts)
     knorm = np.linalg.norm(kgrid, axis=1)
 
     ell_all = block_momenta(shape)
     nonzero = np.nonzero(np.any(ell_all != 0.0, axis=1))[0]
-    pick = rng.choice(nonzero, size=min(n_ell, len(nonzero)), replace=False)
+    pick = rng.choice(nonzero, size=min(6, len(nonzero)), replace=False)
     ells = ell_all[pick]
 
     # part a: momenta bounded away from zero

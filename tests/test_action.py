@@ -61,7 +61,7 @@ def reference_action(psi_pair, phi_pair, params, shape):
 
 
 def test_action_zero_fields():
-    av = action_value(FieldPair.zeros(SMALL, "unit"), FieldPair.zeros(SMALL, "fine"), ModelParams(mu=0.1, v=0.5), SMALL)
+    av = action_value(FieldPair.zeros(SMALL, "unit"), FieldPair.zeros(SMALL, "fine"), ModelParams(mu=0.1, v=0.5))
     assert av.total == 0 and av.block == 0 and av.heat == 0 and av.chemical == 0 and av.quartic == 0
 
 
@@ -70,7 +70,7 @@ def test_action_constant_fields_closed_form():
     params = ModelParams(mu=0.3, v=0.4)
     psi = FieldPair(Field.constant(SMALL, "unit", z), Field.constant(SMALL, "unit", z))
     phi = FieldPair(Field.constant(SMALL, "fine", z), Field.constant(SMALL, "fine", z))
-    av = action_value(psi, phi, params, SMALL)
+    av = action_value(psi, phi, params)
     sites = SMALL.sites("unit")
     assert av.block == pytest.approx(0.0, abs=1e-13)
     assert av.heat == pytest.approx(0.0, abs=1e-13)
@@ -82,7 +82,7 @@ def test_action_matches_reference_loops():
     params = ModelParams(mu=0.2, v=0.7, d=1.5)
     psi = FieldPair.random(SMALL, "unit", rng)
     phi = FieldPair.random(SMALL, "fine", rng)
-    got = action_value(psi, phi, params, SMALL).total
+    got = action_value(psi, phi, params).total
     want = reference_action(psi, phi, params, SMALL)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -92,7 +92,7 @@ def test_action_total_is_sum_of_parts():
     params = ModelParams(mu=0.2, v=0.7)
     psi = FieldPair.random(SMALL, "unit", rng)
     phi = FieldPair.random(SMALL, "fine", rng)
-    av = action_value(psi, phi, params, SMALL)
+    av = action_value(psi, phi, params)
     assert av.total == av.block + av.heat + av.chemical + av.quartic
 
 
@@ -103,12 +103,12 @@ def test_action_multilinearity_degrees():
     phi = FieldPair.random(SMALL, "fine", rng)
     t = 0.37
     # block term is degree (1,1) in (psi_star, psi) jointly with the averages
-    a1 = action_value(psi.scaled(t), FieldPair.zeros(SMALL, "fine"), params, SMALL)
-    a0 = action_value(psi, FieldPair.zeros(SMALL, "fine"), params, SMALL)
+    a1 = action_value(psi.scaled(t), FieldPair.zeros(SMALL, "fine"), params)
+    a0 = action_value(psi, FieldPair.zeros(SMALL, "fine"), params)
     assert a1.block == pytest.approx(t**2 * a0.block, rel=1e-12)
     # quartic term is degree (2,2) in (phi_star, phi)
-    q1 = action_value(FieldPair.zeros(SMALL, "unit"), phi.scaled(t), params, SMALL)
-    q0 = action_value(FieldPair.zeros(SMALL, "unit"), phi, params, SMALL)
+    q1 = action_value(FieldPair.zeros(SMALL, "unit"), phi.scaled(t), params)
+    q0 = action_value(FieldPair.zeros(SMALL, "unit"), phi, params)
     assert q1.quartic == pytest.approx(t**4 * q0.quartic, rel=1e-12)
     assert q1.heat == pytest.approx(t**2 * q0.heat, rel=1e-12)
     assert q1.chemical == pytest.approx(t**2 * q0.chemical, rel=1e-12)
@@ -117,7 +117,7 @@ def test_action_multilinearity_degrees():
 def test_level_mismatch_rejected():
     params = ModelParams(mu=0.2, v=0.7)
     with pytest.raises(LatticeError):
-        action_value(FieldPair.zeros(SMALL, "fine"), FieldPair.zeros(SMALL, "fine"), params, SMALL)
+        action_value(FieldPair.zeros(SMALL, "fine"), FieldPair.zeros(SMALL, "fine"), params)
 
 
 def test_stationarity_fd_at_converged_solution():
@@ -126,7 +126,7 @@ def test_stationarity_fd_at_converged_solution():
     pair = FieldPair.random(SMALL, "unit", rng, amplitude=0.1)
     sol = solve_nonlinear(pair, params, SMALL, tol=1e-10)
     assert sol.converged
-    fd = fd_stationarity(pair, FieldPair(sol.phi_star, sol.phi), params, SMALL, rng, n_directions=20)
+    fd = fd_stationarity(pair, FieldPair(sol.phi_star, sol.phi), params, SMALL, rng)
     assert fd <= 1e-6
 
 
@@ -139,7 +139,7 @@ def test_effective_potential_zero_field():
         v: float
         d: float = 1.0
 
-    ep = effective_potential(0.0, FlowStub(mu=0.1, v=0.01), SMALL)
+    ep = effective_potential(0.0, FlowStub(mu=0.1, v=0.01))
     assert ep.via_background == pytest.approx(0.0, abs=1e-14)
     assert ep.closed_form == pytest.approx(0.0, abs=1e-14)
 
@@ -156,13 +156,13 @@ def test_effective_potential_minimum_and_route_gap():
     flow = FlowStub(mu=0.05, v=0.01)
     r = np.sqrt(flow.mu / flow.v)
     zs = np.linspace(0.8 * r, 1.2 * r, 201)
-    vals = [effective_potential(z, flow, SMALL).via_background for z in zs]
+    vals = [effective_potential(z, flow).via_background for z in zs]
     zmin = zs[int(np.argmin(vals))]
     assert abs(zmin - r) / r <= 0.02
     # route gap decreases when mu halves (fixed z, small coupling)
     gaps = []
     for mu in (0.2, 0.1, 0.05):
-        ep = effective_potential(1.0, FlowStub(mu=mu, v=1e-4), SMALL)
+        ep = effective_potential(1.0, FlowStub(mu=mu, v=1e-4))
         gaps.append(abs(ep.via_background - ep.closed_form))
     assert gaps[2] < gaps[1] < gaps[0]
 
@@ -172,11 +172,11 @@ def test_well_geometry_values_and_ratios():
 
     # mu_n = v_n means radius exactly 1
     f = flow_params_at(0, mu0=0.02, v0=0.02, L=3)
-    assert well_geometry(f, SMALL).radius == pytest.approx(1.0)
+    assert well_geometry(f).radius == pytest.approx(1.0)
     radii, depths = [], []
     for n in range(4):
         fn = flow_params_at(n, mu0=1e-4, v0=1e-3, L=3)
-        g = well_geometry(fn, SMALL, per_site=True)
+        g = well_geometry(fn)
         radii.append(g.radius)
         depths.append(g.depth)
     for n in range(3):
@@ -203,7 +203,7 @@ def test_action_minus_quadratic_form_scales_quartically():
         lam = 2.0**-e
         pair = base.scaled(lam)
         lin = solve_linear(pair, params, SMALL)
-        act = action_value(pair, FieldPair(lin.phi_star, lin.phi), params, SMALL).total
+        act = action_value(pair, FieldPair(lin.phi_star, lin.phi), params).total
         quad = zero_field_quadratic_form(pair, params, SMALL, mode="discrete")
         lams.append(lam)
         errs.append(abs(act - quad))
@@ -247,7 +247,7 @@ def test_full_action_matches_well_form_to_third_order():
             Field(SMALL, "fine", r * np.exp(X.values - 1j * H.values)),
             Field(SMALL, "fine", r * np.exp(X.values + 1j * H.values)),
         )
-        act = action_value(psi, phi, params, SMALL).total / r**2
+        act = action_value(psi, phi, params).total / r**2
         quad = well_quadratic_form(R, T, params, SMALL, mode="discrete")
         lams.append(lam)
         errs.append(abs(act - quad))
@@ -283,6 +283,6 @@ def test_quadratic_form_matches_action_quadratic_part_exactly():
     params = ModelParams(mu=0.05, v=0.01)
     pair = FieldPair.random(SMALL, "unit", rng, amplitude=0.05)
     lin = solve_linear(pair, params, SMALL)
-    av = action_value(pair, FieldPair(lin.phi_star, lin.phi), params, SMALL)
+    av = action_value(pair, FieldPair(lin.phi_star, lin.phi), params)
     quad = zero_field_quadratic_form(pair, params, SMALL, mode="discrete")
     assert abs((av.total - av.quartic) - quad) <= 1e-11 * max(1.0, abs(quad))

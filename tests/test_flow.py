@@ -106,7 +106,7 @@ def test_step_translation_invariant_output():
     # outputs of the two routes coincide)
     rng = np.random.default_rng(0)
     grid = rng.standard_normal(EXT) + 1j * rng.standard_normal(EXT) + 5.0
-    act = QuadraticAction(EXT, grid, "random")
+    act = QuadraticAction(EXT, grid)
     out = block_spin_step(act, 3)
     dense = block_spin_step_dense(act, 3)
     np.testing.assert_allclose(out.symbol_grid, dense.symbol_grid, atol=1e-10)
