@@ -22,7 +22,7 @@ import scipy.linalg
 
 from .background import ModelParams, _FiberOperator, solve_constant
 from .lattice_ops import SHARP, AveragingProfile, apply_heat, fine_average
-from .symbols import _DEAD_WEIGHT, well_symbol, zero_field_symbol
+from .symbols import _DEAD_WEIGHT, _singular_row, well_symbol, zero_field_symbol
 from .torus import (
     Field,
     FieldPair,
@@ -236,13 +236,14 @@ def fluctuation_spectrum(params: ModelParams, shape: TorusShape, profile: Averag
     decouple exactly; the coupled core is handled densely, including the
     principal square root of its inverse (the fluctuation covariance) and
     the verification that the square root's spectrum lies in the open right
-    half-plane.
+    half-plane.  A singular core, as at mu = 1 where the K = 0 core is [-1 +
+    1], raises :class:`NumericalError` naming the fiber row.
     """
     fiber = _FiberOperator(shape, params, profile)
     eigs_all = []
     sqrt_resid = 0.0
     sqrt_rhp = True
-    for u, a in zip(fiber.u, fiber.a_plain):
+    for row, (u, a) in enumerate(zip(fiber.u, fiber.a_plain)):
         coupled = np.abs(u) > _DEAD_WEIGHT
         a_dec = a[~coupled]
         eigs_all.append(a_dec)
@@ -261,7 +262,10 @@ def fluctuation_spectrum(params: ModelParams, shape: TorusShape, profile: Averag
             )
         M = np.diag(ac) + np.outer(uc, uc)
         eigs_all.append(np.linalg.eigvals(M))
-        cov = np.linalg.inv(M)
+        try:
+            cov = np.linalg.inv(M)
+        except np.linalg.LinAlgError:
+            raise _singular_row((row,), "the coupled core is singular") from None
         droot = scipy.linalg.sqrtm(cov)
         resid = float(np.linalg.norm(droot @ droot - cov) / max(1e-300, np.linalg.norm(cov)))
         sqrt_resid = max(sqrt_resid, resid)

@@ -11,7 +11,8 @@ from blockspin.action import (
     zero_field_quadratic_form,
 )
 from blockspin.background import ModelParams, solve_linear, solve_nonlinear, solve_well_linear
-from blockspin.lattice_ops import SHARP, fine_average
+from blockspin.lattice_ops import SHARP, SMOOTH, fine_average
+from blockspin.symbols import NumericalError
 from blockspin.torus import Field, FieldPair, LatticeError, inner_product, make_shape
 
 SMALL = make_shape(1, 3, 1, 1)
@@ -275,6 +276,14 @@ def test_fluctuation_spectrum_large_scale_single_fiber():
     assert len(rep.eigenvalues) == 3**10
     assert rep.min_distance > 0
     assert rep.min_distance == pytest.approx(0.9, rel=1e-10)
+
+
+@pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
+def test_fluctuation_spectrum_names_a_singular_core(profile):
+    # mu = 1, where the constant-field mass 1 - mu changes sign: the K = 0 core is [-1 + 1]
+    with pytest.raises(NumericalError, match=r"fiber row \(0,\) singular") as info:
+        fluctuation_spectrum(ModelParams(mu=1.0, v=1.0), SMALL, profile)
+    assert info.value.row == (0,)
 
 
 def test_quadratic_form_matches_action_quadratic_part_exactly():

@@ -596,13 +596,16 @@ def test_run_flow_records_regular_stop_and_guards_shape():
     assert run_flow(1e-5, 1e-5, 3, make_shape(0, 3, 9, 3))[-1].stop == "max_steps"
     assert run_flow(1e-5, 1e-5, 3, make_shape(0, 3, 9, 3), steps=2)[-1].stop == "max_steps"
     assert run_flow(3e-3, 1e-6, 3, make_shape(0, 3, 9, 3), renormalize=False)[-1].stop == "stop_mu"
-    for shape in (make_shape(0, 3, 8, 3), make_shape(0, 3, 9, 2)):  # no block step on this torus
+    # no block step on the first two tori; the last two are tori of L = 5, not of the trace's L = 3
+    for shape in (make_shape(0, 3, 8, 3), make_shape(0, 3, 9, 2), make_shape(0, 5, 9, 3), make_shape(0, 5, 225, 15)):
         with pytest.raises(LatticeError):
             run_flow(1e-5, 1e-5, 3, shape)
         with pytest.raises(LatticeError):  # a trace that would step nothing checks the torus too
             run_flow(1e-5, 1e-5, 3, shape, renormalize=False)
         with pytest.raises(LatticeError):
             run_flow(1e-5, 1e-5, 3, shape, steps=1)
+    with pytest.raises(LatticeError, match="L=3 on a torus of L=5"):
+        run_flow(1e-5, 1e-5, 3, make_shape(0, 5, 225, 15))
 
 
 def test_run_flow_row_count_and_ratios():
