@@ -155,7 +155,9 @@ def well_geometry(flow) -> WellGeometry:
     minimum of the effective potential."""
     if flow.mu <= 0:
         raise LatticeError("well geometry needs mu > 0")
-    return WellGeometry(radius=float(np.sqrt(flow.mu / flow.v)), depth=float(-0.5 * flow.mu**2 / flow.v))
+    radius = float(np.sqrt(flow.mu / flow.v))
+    depth = -0.5 * flow.mu**2 / flow.v
+    return WellGeometry(radius=radius, depth=float(depth))
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,12 @@ def _unread_parameters(node: ast.FunctionDef, is_method: bool) -> list[str]:
     static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
     if is_method and not static:
         params = params[1:]  # self or cls
-    read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    names = (n for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name))
+    read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
     return [p for p in params if p not in read]
 
 
 def test_every_public_parameter_is_read():
-    unread = {f"{name}.{p}" for name, node, is_method in _public_functions() for p in _unread_parameters(node, is_method)}
+    unread = {f"{name}.{p}" for name, node, is_method in _public_functions()
+              for p in _unread_parameters(node, is_method)}
     assert unread == UNREAD_ALLOWED

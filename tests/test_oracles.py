@@ -34,7 +34,9 @@ def _dense_operator(dims, profile):
     M = operator_matrix(lambda f: f.with_values(_direct_operator(f, profile, params)),
                         make_shape(*dims), "fine", "fine")
     assert not M.imag.any()
-    return M.real
+    real = M.real.copy()
+    real.flags.writeable = False  # shared by every test that reads it
+    return real
 
 
 @pytest.mark.parametrize("dims, profile", [((1, 3, 1, 1), SHARP), ((1, 3, 1, 1), SMOOTH), ((1, 3, 3, 1), SHARP)],
@@ -61,7 +63,8 @@ def _external_pair(shape, regime, rng):
     params = ModelParams(mu=2.0, v=0.5)
     R, Th = 2.0 * rng.standard_normal((2,) + shape.unit_extents)
     r = params.well_radius
-    return params, FieldPair(Field(shape, "unit", r * np.exp(R - 1j * Th)), Field(shape, "unit", r * np.exp(R + 1j * Th)))
+    starred, plain = (Field(shape, "unit", r * np.exp(R + sign * 1j * Th)) for sign in (-1, 1))
+    return params, FieldPair(starred, plain)
 
 
 @pytest.mark.parametrize("regime", ["small", "well"])
