@@ -3,13 +3,13 @@
 Modules
 -------
 torus        lattice geometry, fields, inner products, dual lattices
-lattice_ops  difference operators, heat operator, block/fine averaging, scaling maps
+lattice_ops  difference operators, heat operator, block/fine averaging, field scaling maps
 symbols      momentum-space symbol algebra and small-momentum fits
 background   background-field solvers (constant, linearized, well, full nonlinear)
 action       action evaluation, effective potential, quadratic forms, spectra
 flow         running couplings, quadratic-level block-spin step, chemical-potential
              renormalization
-norms        tree-weighted kernel norms and Steiner lengths
+norms        Steiner lengths and the tree-weighted kernel norm
 """
 
 from .torus import (

@@ -22,12 +22,13 @@ import scipy.linalg
 
 from .background import ModelParams, _FiberOperator, solve_constant
 from .lattice_ops import SHARP, AveragingProfile, apply_heat, fine_average
-from .symbols import _DEAD_WEIGHT, _singular_row, well_symbol, zero_field_symbol
+from .symbols import _DEAD_WEIGHT, _pole_rows, _singular_row, well_symbol, zero_field_symbol
 from .torus import (
     Field,
     FieldPair,
     LatticeError,
     TorusShape,
+    common_torus,
     fft_mode_grid,
     field_modes,
     inner_product,
@@ -64,7 +65,9 @@ class ActionValue:
 
 def action_value(psi_pair: FieldPair, phi_pair: FieldPair, params: ModelParams,
                  profile: AveragingProfile = SHARP) -> ActionValue:
-    """Evaluate the four parts of the action."""
+    """Evaluate the four parts of the action; psi_pair and phi_pair sit on
+    one torus, or :class:`LatticeError` names both."""
+    common_torus(psi_pair, phi_pair)
     if psi_pair.level != "unit" or phi_pair.level != "fine":
         raise LatticeError("external fields live on the unit lattice, backgrounds on the fine one")
     q_phi = fine_average(phi_pair.plain, profile)
@@ -80,13 +83,14 @@ def action_value(psi_pair: FieldPair, phi_pair: FieldPair, params: ModelParams,
 
 
 def fd_stationarity(psi_pair: FieldPair, phi_pair: FieldPair, params: ModelParams,
-                    shape: TorusShape, rng: np.random.Generator, profile: AveragingProfile = SHARP) -> float:
+                    rng: np.random.Generator, profile: AveragingProfile = SHARP) -> float:
     """Max |central finite difference| of the action along 20 random directions.
 
-    Perturbs (phi_star, phi) jointly with step 1e-4; at a true stationary
-    point the value is limited by the solver residual and the O(step^2)
-    truncation.
+    Perturbs (phi_star, phi) jointly with step 1e-4 on phi_pair's fine
+    lattice; at a true stationary point the value is limited by the solver
+    residual and the O(step^2) truncation.
     """
+    shape = common_torus(psi_pair, phi_pair)
     worst = 0.0
     step = 1e-4
     base_star = phi_pair.starred.values
@@ -164,13 +168,14 @@ def well_geometry(flow) -> WellGeometry:
 # quadratic approximations
 # ---------------------------------------------------------------------------
 
-def zero_field_quadratic_form(psi_pair: FieldPair, params: ModelParams, shape: TorusShape,
-                              mode: str = "discrete", profile: AveragingProfile = SHARP) -> complex:
+def zero_field_quadratic_form(psi_pair: FieldPair, params: ModelParams, mode: str = "discrete",
+                              profile: AveragingProfile = SHARP) -> complex:
     """<psi_star, (effective quadratic kernel around zero field) psi>_0.
 
-    Momentum-space evaluation through the unit symbol; the bilinear pairing
-    couples mode k with -k.
+    Momentum-space evaluation through the unit symbol of psi_pair's torus;
+    the bilinear pairing couples mode k with -k.
     """
+    shape = psi_pair.shape
     if psi_pair.level != "unit":
         raise LatticeError("quadratic form takes unit-level fields")
     k = radians_for_modes(shape, fft_mode_grid(shape.unit_extents))
@@ -182,15 +187,17 @@ def zero_field_quadratic_form(psi_pair: FieldPair, params: ModelParams, shape: T
     return complex(psi_pair.plain.sites * np.sum(c_star * sigma * c_plain))
 
 
-def well_quadratic_form(R: Field, Theta: Field, params: ModelParams, shape: TorusShape,
-                        mode: str = "discrete", profile: AveragingProfile = SHARP) -> complex:
+def well_quadratic_form(R: Field, Theta: Field, params: ModelParams, mode: str = "discrete",
+                        profile: AveragingProfile = SHARP) -> complex:
     """Quadratic form of the well kernel on radial/tangential data, plus the
     constant well-bottom term -(radius^2 v / 2) <1,1>_n.
 
+    R and Theta sit on one torus, or :class:`LatticeError` names both.
     Dividing the full action at fields radius*exp(R +/- i Theta) (with the
     matching solved background) by radius^2 reproduces this value up to
     third-order terms.
     """
+    shape = common_torus(R, Theta)
     if R.level != "unit" or Theta.level != "unit":
         raise LatticeError("well form takes unit-level fields")
     k = radians_for_modes(shape, fft_mode_grid(shape.unit_extents)).reshape(-1, 4)
@@ -238,10 +245,15 @@ def fluctuation_spectrum(params: ModelParams, shape: TorusShape, profile: Averag
     decouple exactly; the coupled core is handled densely, including the
     principal square root of its inverse (the fluctuation covariance) and
     the verification that the square root's spectrum lies in the open right
-    half-plane.  A singular core, as at mu = 1 where the K = 0 core is [-1 +
-    1], raises :class:`NumericalError` naming the fiber row.
+    half-plane.  The fiber data pass the solvers' pole rule first
+    (:func:`blockspin.symbols._pole_rows`), so a vanishing decoupled entry
+    raises :class:`NumericalError` naming the fiber row, as the solvers do;
+    a single pole with live averaging weight sits in the coupled core.  A
+    singular core, as at mu = 1 where the K = 0 core is [-1 + 1], raises
+    naming the row too.
     """
     fiber = _FiberOperator(shape, params, profile)
+    _pole_rows(fiber.a_plain, lambda: fiber.u)
     eigs_all = []
     sqrt_resid = 0.0
     sqrt_rhp = True

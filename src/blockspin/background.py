@@ -52,6 +52,7 @@ from .torus import (
     FieldPair,
     LatticeError,
     TorusShape,
+    common_torus,
     fiber_merge,
     fiber_momenta,
     fiber_split,
@@ -110,28 +111,37 @@ class BackgroundSolution:
 # constant fields
 # ---------------------------------------------------------------------------
 
-def solve_constant(psi: float, params: ModelParams, tol: float = 1e-12) -> list[float]:
+def solve_constant(psi: float, params: ModelParams) -> list[float]:
     """All real roots of  v*phi^3 + (1 - mu)*phi = psi.
 
     Exactly one root when mu <= 1; up to three otherwise.  Each root is
-    polished by Newton to the requested residual.
+    polished by Newton until the residual is at most 1e-12 times the
+    cubic's scale at the root, max(1, |v phi^3| + |(1 - mu) phi| + |psi|),
+    the size that round-off in evaluating it grows with.
     """
     coeffs = [params.v, 0.0, 1.0 - params.mu, -float(psi)]
     roots = np.roots(coeffs)
+
+    def residual(x: float) -> tuple[float, float]:
+        """The cubic at x, and its bound: 1e-12 of the scale at x."""
+        terms = (params.v * x**3, (1.0 - params.mu) * x, -psi)
+        return sum(terms), 1e-12 * max(1.0, sum(map(abs, terms)))
+
     real = []
     for r in roots:
         if abs(r.imag) > 1e-7 * max(1.0, abs(r)):
             continue
         x = float(r.real)
         for _ in range(60):
-            f = params.v * x**3 + (1.0 - params.mu) * x - psi
-            if abs(f) <= tol:
+            f, bound = residual(x)
+            if abs(f) <= bound:
                 break
             df = 3 * params.v * x**2 + (1.0 - params.mu)
             if df == 0:
                 break
             x -= f / df
-        if abs(params.v * x**3 + (1.0 - params.mu) * x - psi) <= tol:
+        f, bound = residual(x)
+        if abs(f) <= bound:
             real.append(x)
     # dedupe (np.roots may report near-equal real roots at multiple points)
     real.sort()
@@ -200,30 +210,30 @@ def _direct_operator(f: Field, profile: AveragingProfile, params: ModelParams | 
 # linearization around zero field
 # ---------------------------------------------------------------------------
 
-def _linear_residual(phi_vals, rhs_vals, params, shape, profile, transpose) -> float:
-    res = _direct_operator(Field(shape, "fine", phi_vals), profile, params, transpose) - rhs_vals
+def _linear_residual(phi: Field, rhs_vals, params, profile, transpose) -> float:
+    res = _direct_operator(phi, profile, params, transpose) - rhs_vals
     return float(np.max(np.abs(res)))
 
 
-def solve_linear(psi_pair: FieldPair, params: ModelParams, shape: TorusShape,
-                 profile: AveragingProfile = SHARP) -> BackgroundSolution:
-    """First-order background fields: exact momentum-space solve.
+def solve_linear(psi_pair: FieldPair, params: ModelParams, profile: AveragingProfile = SHARP) -> BackgroundSolution:
+    """First-order background fields: exact momentum-space solve on psi_pair's torus.
 
     phi = (average^T average - mu + heat)^(-1) average^T psi, and the
     transpose-heat analogue for the starred member.  Residuals are evaluated
     by applying the operators in direct space.
     """
+    shape = psi_pair.shape
     op = _FiberOperator(shape, params, profile)
     rhs_plain = fine_average_adjoint(psi_pair.plain, profile).values
     rhs_star = fine_average_adjoint(psi_pair.starred, profile).values
-    phi_vals = op.solve_field(rhs_plain, transpose=False)
-    phi_star_vals = op.solve_field(rhs_star, transpose=True)
-    res_plain = _linear_residual(phi_vals, rhs_plain, params, shape, profile, transpose=False)
-    res_star = _linear_residual(phi_star_vals, rhs_star, params, shape, profile, transpose=True)
+    phi = Field(shape, "fine", op.solve_field(rhs_plain, transpose=False))
+    phi_star = Field(shape, "fine", op.solve_field(rhs_star, transpose=True))
+    res_plain = _linear_residual(phi, rhs_plain, params, profile, transpose=False)
+    res_star = _linear_residual(phi_star, rhs_star, params, profile, transpose=True)
     tol = 1e-10 * max(1.0, float(np.max(np.abs(psi_pair.plain.values))), float(np.max(np.abs(psi_pair.starred.values))))
     return BackgroundSolution(
-        phi_star=Field(shape, "fine", phi_star_vals),
-        phi=Field(shape, "fine", phi_vals),
+        phi_star=phi_star,
+        phi=phi,
         residual=(res_star, res_plain),
         iterations=1,
         converged=bool(res_plain <= tol and res_star <= tol),
@@ -238,15 +248,17 @@ def solve_linear(psi_pair: FieldPair, params: ModelParams, shape: TorusShape,
 _WELL_RESIDUAL_TOL = 1e-10
 
 
-def solve_well_linear(R: Field, Theta: Field, params: ModelParams, shape: TorusShape,
-                      mode: str = "discrete", profile: AveragingProfile = SHARP) -> tuple[Field, Field]:
+def solve_well_linear(R: Field, Theta: Field, params: ModelParams, mode: str = "discrete",
+                      profile: AveragingProfile = SHARP) -> tuple[Field, Field]:
     """Solve the linearized radial/tangential system per momentum fiber.
 
-    Returns (X, H) with  welloperator [X; H] = average_adjoint [R; Theta];
+    Returns (X, H) with  welloperator [X; H] = average_adjoint [R; Theta],
+    on the torus of R and Theta (two tori raise :class:`LatticeError`);
     the well operator couples the two components through the 2x2 matrix
     symbol plus the averaging mass.  The residual of the solved system is
     verified against a full-grid application of the operator.
     """
+    shape = common_torus(R, Theta)
     if R.level != "unit" or Theta.level != "unit":
         raise LatticeError("radial/tangential data live on the unit lattice")
     w = np.stack([field_modes(R).reshape(-1), field_modes(Theta).reshape(-1)], axis=-1)
@@ -257,17 +269,19 @@ def solve_well_linear(R: Field, Theta: Field, params: ModelParams, shape: TorusS
     _, c = well_resolvent(D, u, w)
     XH = np.fft.ifftn(fiber_merge(c, shape), axes=(0, 1, 2, 3)) * shape.sites("fine")
     X, H = Field(shape, "fine", XH[..., 0]), Field(shape, "fine", XH[..., 1])
-    resid = _well_residual(X, H, R, Theta, params, shape, mode, profile)
+    resid = _well_residual(X, H, R, Theta, params, mode, profile)
     scale = max(1.0, float(np.max(np.abs(R.values))), float(np.max(np.abs(Theta.values))))
     if not resid <= _WELL_RESIDUAL_TOL * scale:  # a NaN residual fails too
         raise NumericalError(f"well solve residual {resid:.3e} exceeds {_WELL_RESIDUAL_TOL:g}")
     return X, H
 
 
-def apply_well_operator(X: Field, H: Field, params: ModelParams, shape: TorusShape,
-                        mode: str = "discrete", profile: AveragingProfile = SHARP) -> tuple[np.ndarray, np.ndarray]:
-    """Full-grid application of the 2x2 well operator plus averaging mass,
-    over the fine mode grid (:func:`fine_momenta`), not the solve's fibers."""
+def apply_well_operator(X: Field, H: Field, params: ModelParams, mode: str = "discrete",
+                        profile: AveragingProfile = SHARP) -> tuple[np.ndarray, np.ndarray]:
+    """Full-grid application of the 2x2 well operator plus averaging mass
+    on the torus of X and H (two tori raise :class:`LatticeError`), over the
+    fine mode grid (:func:`fine_momenta`), not the solve's fibers."""
+    shape = common_torus(X, H)
     D = well_matrix(fine_momenta(shape), params.mu, params.d, shape, mode)
     cX = np.fft.fftn(X.values) / X.sites
     cH = np.fft.fftn(H.values) / H.sites
@@ -278,8 +292,8 @@ def apply_well_operator(X: Field, H: Field, params: ModelParams, shape: TorusSha
     return outX, outH
 
 
-def _well_residual(X, H, R, Theta, params, shape, mode, profile) -> float:
-    outX, outH = apply_well_operator(X, H, params, shape, mode, profile)
+def _well_residual(X, H, R, Theta, params, mode, profile) -> float:
+    outX, outH = apply_well_operator(X, H, params, mode, profile)
     rhsX = fine_average_adjoint(R, profile).values
     rhsH = fine_average_adjoint(Theta, profile).values
     return float(max(np.max(np.abs(outX - rhsX)), np.max(np.abs(outH - rhsH))))
@@ -288,6 +302,13 @@ def _well_residual(X, H, R, Theta, params, shape, mode, profile) -> float:
 # ---------------------------------------------------------------------------
 # full nonlinear system
 # ---------------------------------------------------------------------------
+
+def _external_torus(psi_pair: FieldPair, shape: TorusShape) -> TorusShape:
+    """psi_pair's torus, which ``shape`` must name."""
+    if shape != psi_pair.shape:
+        raise LatticeError(f"shape {shape} is not the external fields' torus {psi_pair.shape}")
+    return psi_pair.shape
+
 
 def _nonlinear_rhs(psi_pair: FieldPair, profile: AveragingProfile) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand sides Q* psi of the stationarity equations (starred, plain)."""
@@ -301,9 +322,12 @@ def nonlinear_residuals(psi_pair: FieldPair, phi_star: np.ndarray, phi: np.ndarr
                         rhs: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Direct-space values of both stationarity equations (starred, plain).
 
-    ``rhs`` passes the right-hand sides (Q* psi_star, Q* psi) when the
-    caller already holds them for this psi.
+    The backgrounds are fine-lattice values on psi_pair's torus; ``shape``
+    must be that torus, or :class:`LatticeError` names both.  ``rhs``
+    passes the right-hand sides (Q* psi_star, Q* psi) when the caller
+    already holds them for this psi.
     """
+    shape = _external_torus(psi_pair, shape)
     rhs_star, rhs_plain = _nonlinear_rhs(psi_pair, profile) if rhs is None else rhs
     cubic = params.v * phi_star * phi
     res_plain = _direct_operator(Field(shape, "fine", phi), profile, params, potential=cubic) - rhs_plain
@@ -311,7 +335,7 @@ def nonlinear_residuals(psi_pair: FieldPair, phi_star: np.ndarray, phi: np.ndarr
     return res_star, res_plain
 
 
-def _seed_fields(psi_pair, params, shape, profile, strategy, fiber, psi_rhs):
+def _seed_fields(psi_pair, params, profile, strategy, fiber, psi_rhs):
     """Newton's starting pair (phi_star, phi); the linearized seed solves
     :func:`solve_linear`'s system with the solve's own fiber operator and
     right-hand sides Q* psi."""
@@ -329,10 +353,9 @@ def _seed_fields(psi_pair, params, shape, profile, strategy, fiber, psi_rhs):
         Rv = 0.5 * (np.log(np.abs(ratio_plain)) + np.log(np.abs(ratio_star)))
         Tv = np.angle(ratio_plain)
         X, H = solve_well_linear(
-            Field(shape, "unit", Rv.astype(complex)),
-            Field(shape, "unit", Tv.astype(complex)),
+            Field(fiber.shape, "unit", Rv.astype(complex)),
+            Field(fiber.shape, "unit", Tv.astype(complex)),
             params,
-            shape,
             mode="discrete",
             profile=profile,
         )
@@ -341,9 +364,9 @@ def _seed_fields(psi_pair, params, shape, profile, strategy, fiber, psi_rhs):
         return phi_star, phi
     if strategy == "auto":
         if params.mu <= 1.0:
-            return _seed_fields(psi_pair, params, shape, profile, "linearized", fiber, psi_rhs)
+            return _seed_fields(psi_pair, params, profile, "linearized", fiber, psi_rhs)
         conj_like = np.allclose(psi_pair.starred.values, np.conj(psi_pair.plain.values), atol=1e-9)
-        return _seed_fields(psi_pair, params, shape, profile, "well" if conj_like else "linearized", fiber, psi_rhs)
+        return _seed_fields(psi_pair, params, profile, "well" if conj_like else "linearized", fiber, psi_rhs)
     raise LatticeError(f"unknown seed strategy {strategy!r}")
 
 
@@ -352,19 +375,21 @@ def solve_nonlinear(psi_pair: FieldPair, params: ModelParams, shape: TorusShape,
                     profile: AveragingProfile = SHARP, field_radius: float | None = None) -> BackgroundSolution:
     """Damped Newton on the coupled stationarity system with the exact Jacobian.
 
-    The Jacobian's linear part is the fiber operator.  Small lattices
-    factor the dense Jacobian, assembled from one fiber-operator matrix;
-    larger ones run a matrix-free GMRES solve preconditioned by the
-    constant-coefficient fiber inverse.  Non-convergence returns the best
-    iterate with converged=False.
+    The backgrounds live on psi_pair's fine lattice; ``shape`` must be
+    psi_pair's torus, or :class:`LatticeError` names both.  The Jacobian's
+    linear part is the fiber operator.  Small lattices factor the dense
+    Jacobian, assembled from one fiber-operator matrix; larger ones run a
+    matrix-free GMRES solve preconditioned by the constant-coefficient fiber
+    inverse.  Non-convergence returns the best iterate with converged=False.
     """
     if field_radius is not None:
         amp = max(float(np.max(np.abs(psi_pair.plain.values))), float(np.max(np.abs(psi_pair.starred.values))))
         if amp > field_radius:
             warnings.warn(f"external field amplitude {amp:.3g} exceeds the admissible radius {field_radius:.3g}")
+    shape = _external_torus(psi_pair, shape)
     fiber = _FiberOperator(shape, params, profile)
     psi_rhs = _nonlinear_rhs(psi_pair, profile)  # psi is fixed for the whole solve
-    phi_star, phi = _seed_fields(psi_pair, params, shape, profile, seed_strategy, fiber, psi_rhs)
+    phi_star, phi = _seed_fields(psi_pair, params, profile, seed_strategy, fiber, psi_rhs)
     n = shape.sites("fine")
     dense = n <= DENSE_SITE_LIMIT
     if dense:
@@ -407,7 +432,7 @@ def solve_nonlinear(psi_pair: FieldPair, params: ModelParams, shape: TorusShape,
             d_plain = delta[:n].reshape(shape.fine_extents)
             d_star = delta[n:].reshape(shape.fine_extents)
         else:
-            d_plain, d_star = _gmres_newton_step(fiber, shape, params, phi_star, phi, res_star, res_plain, max(ns, npl))
+            d_plain, d_star = _gmres_newton_step(fiber, params, phi_star, phi, res_star, res_plain, max(ns, npl))
         # damping: halve the step while the residual grows
         step = 1.0
         base = max(ns, npl)
@@ -430,10 +455,10 @@ def solve_nonlinear(psi_pair: FieldPair, params: ModelParams, shape: TorusShape,
     )
 
 
-def _gmres_newton_step(fiber, shape, params, phi_star, phi, res_star, res_plain, rnorm):
+def _gmres_newton_step(fiber, params, phi_star, phi, res_star, res_plain, rnorm):
     """Matrix-free Newton direction via preconditioned GMRES."""
     v = params.v
-    ext = shape.fine_extents
+    ext = fiber.shape.fine_extents
     n = int(np.prod(ext))
     two_v_ss = 2.0 * v * phi_star * phi
     v_pp = v * phi * phi

@@ -1,8 +1,11 @@
 """Direct-space lattice operators.
 
 Forward/backward differences, the spatial Laplacian and the heat operator on
-any level; the parabolic scaling maps between consecutive scales; and box
-averaging with its bilinear adjoint.  One averaging body serves both block
+any level; the parabolic scaling maps of fields between consecutive scales;
+box averaging with its bilinear adjoint; dense operator matrices for the
+oracles; and the one-dimensional profile symbol.  The running couplings
+are not rescaled here: :func:`blockspin.flow.flow_params_at` is their one
+formula.  One averaging body serves both block
 averaging (unit -> coarse, L^2 x L^3 boxes) and fine averaging (fine -> unit,
 L^(2n) x L^(3n) boxes): block averaging is fine averaging on the one-step
 torus over the coarse torus.
@@ -21,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .norms import Kernel
 from .torus import Field, LatticeError, TorusShape
 
 __all__ = [
@@ -41,8 +43,6 @@ __all__ = [
     "from_next_scale",
     "operator_matrix",
     "profile_axis_symbol",
-    "scale_interaction_kernel",
-    "local_coupling",
 ]
 
 
@@ -277,41 +277,3 @@ def profile_axis_symbol(theta, box_len: int, exponent: int = 1):
     out = np.where(small, series, ratio)
     return out**exponent
 
-
-# ---------------------------------------------------------------------------
-# interaction-kernel rescaling
-# ---------------------------------------------------------------------------
-
-def scale_interaction_kernel(V, n: int):
-    """Rescale a translation-invariant interaction kernel by n parabolic steps.
-
-    The fine torus at scale n has the same index grid as the original unit
-    torus, and the rescaling map is the index identity there, so the entries
-    keep their index tuples and extents; each value is multiplied by
-    L^(-n) * (L^(5n))^3 = L^(14n).  The induced local coupling of an
-    on-diagonal kernel drops by L^(-n) per step.
-    """
-    if n < 0:
-        raise LatticeError("scale index must be nonnegative")
-    if n == 0:
-        return V
-    L = V.block_factor
-    if L is None:
-        raise LatticeError("kernel carries no block factor; set block_factor to rescale")
-    factor = float(L) ** (14 * n)
-    entries = {key: factor * val for key, val in V.entries.items()}
-    return Kernel(
-        arity=V.arity,
-        extents=V.extents,
-        entries=entries,
-        translation_invariant=V.translation_invariant,
-        block_factor=L,
-    )
-
-
-def local_coupling(V, n: int) -> float:
-    """Coupling constant induced by an on-diagonal kernel in the weighted quartic form."""
-    L = V.block_factor
-    if L is None:
-        raise LatticeError("kernel carries no block factor")
-    return float(np.real(V.diagonal_value())) * float(L) ** (-15 * n)

@@ -13,7 +13,6 @@ alternative.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +43,13 @@ def _normalize_site(site, extents) -> Site:
 class Kernel:
     """Sparse multi-argument kernel with finite support on a torus.
 
-    entries maps tuples of ``arity`` sites (each a 4-tuple) to complex values.
-    ``block_factor`` (the odd scaling factor L) is only needed for rescaling.
+    entries maps tuples of ``arity`` sites (each a 4-tuple) to complex values;
+    sites are reduced mod ``extents`` and the values of equal keys summed.
     """
 
     arity: int
     extents: tuple[int, int, int, int]
     entries: dict
-    translation_invariant: bool = False
-    block_factor: int | None = None
 
     def __post_init__(self):
         if self.arity < 1:
@@ -64,30 +61,6 @@ class Kernel:
             nkey = tuple(_normalize_site(site, self.extents) for site in key)
             norm_entries[nkey] = norm_entries.get(nkey, 0.0) + complex(val)
         object.__setattr__(self, "entries", norm_entries)
-
-    # -- constructors ------------------------------------------------------
-    @classmethod
-    def from_entries(cls, arity, extents, entries, symmetrize=False, translation_invariant=False, block_factor=None):
-        if symmetrize:
-            sym: dict = {}
-            perms = list(itertools.permutations(range(arity)))
-            for key, val in entries.items():
-                share = complex(val) / len(perms)
-                for p in perms:
-                    pkey = tuple(key[i] for i in p)
-                    sym[pkey] = sym.get(pkey, 0.0) + share
-            entries = sym
-        return cls(arity, tuple(extents), dict(entries), translation_invariant, block_factor)
-
-    @classmethod
-    def delta(cls, extents, strength=1.0, arity=4, site=(0, 0, 0, 0), block_factor=None):
-        """On-diagonal kernel: a single entry with all arguments equal."""
-        key = tuple(tuple(site) for _ in range(arity))
-        return cls(arity, tuple(extents), {key: complex(strength)}, translation_invariant=False, block_factor=block_factor)
-
-    def diagonal_value(self) -> complex:
-        """Sum of entries whose arguments all coincide at one site."""
-        return sum((v for k, v in self.entries.items() if len(set(k)) == 1), 0.0 + 0.0j)
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,16 @@ def inner_product(a: Field, b: Field) -> complex:
     return a.shape.weight(a.level) * complex(np.sum(a.values * b.values))
 
 
+def common_torus(*fields) -> TorusShape:
+    """The one torus that ``fields`` (fields or field pairs) sit on; raises
+    :class:`LatticeError` naming two of the tori when they differ."""
+    first = fields[0].shape
+    for f in fields[1:]:
+        if f.shape != first:
+            raise LatticeError(f"fields sit on two tori: {first} and {f.shape}")
+    return first
+
+
 # ---------------------------------------------------------------------------
 # discrete Fourier transform helpers (coefficient convention)
 # ---------------------------------------------------------------------------

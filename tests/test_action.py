@@ -121,13 +121,28 @@ def test_level_mismatch_rejected():
         action_value(FieldPair.zeros(SMALL, "fine"), FieldPair.zeros(SMALL, "fine"), params)
 
 
+def test_fields_on_two_tori_rejected():
+    # the unit lattices of (1,3,1,1) and (2,3,1,1) have equal extents, so
+    # nothing else tells the two tori apart
+    params = ModelParams(mu=0.2, v=0.7)
+    other = make_shape(2, 3, 1, 1)
+    psi, phi = FieldPair.zeros(SMALL, "unit"), FieldPair.zeros(other, "fine")
+    with pytest.raises(LatticeError, match="two tori") as info:
+        action_value(psi, phi, params)
+    assert str(SMALL) in str(info.value) and str(other) in str(info.value)
+    with pytest.raises(LatticeError, match="two tori"):
+        fd_stationarity(psi, phi, params, np.random.default_rng(0))
+    with pytest.raises(LatticeError, match="two tori"):
+        well_quadratic_form(Field.zeros(SMALL, "unit"), Field.zeros(other, "unit"), params)
+
+
 def test_stationarity_fd_at_converged_solution():
     rng = np.random.default_rng(3)
     params = ModelParams(mu=0.05, v=0.01)
     pair = FieldPair.random(SMALL, "unit", rng, amplitude=0.1)
     sol = solve_nonlinear(pair, params, SMALL, tol=1e-10)
     assert sol.converged
-    fd = fd_stationarity(pair, FieldPair(sol.phi_star, sol.phi), params, SMALL, rng)
+    fd = fd_stationarity(pair, FieldPair(sol.phi_star, sol.phi), params, rng)
     assert fd <= 1e-6
 
 
@@ -188,10 +203,10 @@ def test_well_geometry_values_and_ratios():
 
 def test_zero_field_quadratic_form_basics():
     params = ModelParams(mu=0.05, v=0.01)
-    assert zero_field_quadratic_form(FieldPair.zeros(SMALL, "unit"), params, SMALL) == 0
+    assert zero_field_quadratic_form(FieldPair.zeros(SMALL, "unit"), params) == 0
     # constants at mu=0: symbol vanishes at k=0
     pair = FieldPair(Field.constant(SMALL, "unit", 1.3), Field.constant(SMALL, "unit", 1.3))
-    val = zero_field_quadratic_form(pair, ModelParams(mu=0.0, v=0.01), SMALL)
+    val = zero_field_quadratic_form(pair, ModelParams(mu=0.0, v=0.01))
     assert abs(val) <= 1e-12
 
 
@@ -203,9 +218,9 @@ def test_action_minus_quadratic_form_scales_quartically():
     for e in range(3, 9):
         lam = 2.0**-e
         pair = base.scaled(lam)
-        lin = solve_linear(pair, params, SMALL)
+        lin = solve_linear(pair, params)
         act = action_value(pair, FieldPair(lin.phi_star, lin.phi), params).total
-        quad = zero_field_quadratic_form(pair, params, SMALL, mode="discrete")
+        quad = zero_field_quadratic_form(pair, params, mode="discrete")
         lams.append(lam)
         errs.append(abs(act - quad))
     slope = np.polyfit(np.log(lams), np.log(errs), 1)[0]
@@ -214,7 +229,7 @@ def test_action_minus_quadratic_form_scales_quartically():
 
 def test_well_quadratic_form_at_well_bottom():
     params = ModelParams(mu=2.0, v=0.5)
-    val = well_quadratic_form(Field.zeros(SMALL, "unit"), Field.zeros(SMALL, "unit"), params, SMALL)
+    val = well_quadratic_form(Field.zeros(SMALL, "unit"), Field.zeros(SMALL, "unit"), params)
     expected = -0.5 * params.well_radius**2 * params.v * SMALL.sites("unit")
     assert val == pytest.approx(expected, rel=1e-12)
 
@@ -223,8 +238,8 @@ def test_well_quadratic_form_constant_phase_is_flat():
     # a constant tangential perturbation costs nothing at zero momentum
     params = ModelParams(mu=2.0, v=0.5)
     theta = Field.constant(SMALL, "unit", 0.2)
-    base = well_quadratic_form(Field.zeros(SMALL, "unit"), Field.zeros(SMALL, "unit"), params, SMALL, mode="continuum")
-    val = well_quadratic_form(Field.zeros(SMALL, "unit"), theta, params, SMALL, mode="continuum")
+    base = well_quadratic_form(Field.zeros(SMALL, "unit"), Field.zeros(SMALL, "unit"), params, mode="continuum")
+    val = well_quadratic_form(Field.zeros(SMALL, "unit"), theta, params, mode="continuum")
     assert abs(val - base) <= 1e-12
 
 
@@ -239,7 +254,7 @@ def test_full_action_matches_well_form_to_third_order():
         lam = 2.0**-e
         R = R0.with_values(lam * R0.values)
         T = T0.with_values(lam * T0.values)
-        X, H = solve_well_linear(R, T, params, SMALL, mode="discrete")
+        X, H = solve_well_linear(R, T, params, mode="discrete")
         psi = FieldPair(
             Field(SMALL, "unit", r * np.exp(R.values - 1j * T.values)),
             Field(SMALL, "unit", r * np.exp(R.values + 1j * T.values)),
@@ -249,7 +264,7 @@ def test_full_action_matches_well_form_to_third_order():
             Field(SMALL, "fine", r * np.exp(X.values + 1j * H.values)),
         )
         act = action_value(psi, phi, params).total / r**2
-        quad = well_quadratic_form(R, T, params, SMALL, mode="discrete")
+        quad = well_quadratic_form(R, T, params, mode="discrete")
         lams.append(lam)
         errs.append(abs(act - quad))
     slope = np.polyfit(np.log(lams), np.log(errs), 1)[0]
@@ -286,12 +301,22 @@ def test_fluctuation_spectrum_names_a_singular_core(profile):
     assert info.value.row == (0,)
 
 
+@pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
+def test_fluctuation_spectrum_names_a_decoupled_pole(profile):
+    # mu is exactly a heat value of the fiber data (27 up to round-off), held
+    # by entries of row 0 whose averaging weight is dead: they decouple, and
+    # their covariance 1/a would divide by zero
+    with pytest.raises(NumericalError, match=r"fiber row \(0,\) singular: .*without averaging weight") as info:
+        fluctuation_spectrum(ModelParams(mu=26.999999999999996, v=1.0), SMALL, profile)
+    assert info.value.row == (0,)
+
+
 def test_quadratic_form_matches_action_quadratic_part_exactly():
     # with the linearized background the difference is the quartic term alone
     rng = np.random.default_rng(6)
     params = ModelParams(mu=0.05, v=0.01)
     pair = FieldPair.random(SMALL, "unit", rng, amplitude=0.05)
-    lin = solve_linear(pair, params, SMALL)
+    lin = solve_linear(pair, params)
     av = action_value(pair, FieldPair(lin.phi_star, lin.phi), params)
-    quad = zero_field_quadratic_form(pair, params, SMALL, mode="discrete")
+    quad = zero_field_quadratic_form(pair, params, mode="discrete")
     assert abs((av.total - av.quartic) - quad) <= 1e-11 * max(1.0, abs(quad))

@@ -6,6 +6,7 @@ from blockspin.background import (
     ModelParams,
     NumericalError,
     _direct_operator,
+    apply_well_operator,
     nonlinear_residuals,
     solve_constant,
     solve_linear,
@@ -62,8 +63,21 @@ def test_solve_constant_sweep_unique_when_mu_small():
         assert cubic_residual(ModelParams(mu=mu, v=1.0), psi, roots[0]) <= 1e-12
 
 
+@pytest.mark.parametrize("mu", [0.5, 2.0])
+@pytest.mark.parametrize("psi", [1e5, 1e6])
+def test_solve_constant_keeps_the_real_root_at_large_field(psi, mu):
+    # psi lies far above the cubic's local maximum, so one real root; its
+    # terms are ~psi, and their round-off alone exceeds an absolute 1e-12
+    params = ModelParams(mu=mu, v=1.0)
+    roots = solve_constant(psi, params)
+    assert len(roots) == 1
+    x = roots[0]
+    assert x == pytest.approx(np.cbrt(psi), rel=1e-2)
+    assert cubic_residual(params, psi, x) <= 1e-12 * (x**3 + abs(1.0 - mu) * x + psi)
+
+
 def test_solve_linear_zero_input():
-    sol = solve_linear(FieldPair.zeros(SMALL, "unit"), ModelParams(mu=0.05, v=0.01), SMALL)
+    sol = solve_linear(FieldPair.zeros(SMALL, "unit"), ModelParams(mu=0.05, v=0.01))
     assert np.max(np.abs(sol.phi.values)) == 0.0
     assert np.max(np.abs(sol.phi_star.values)) == 0.0
     assert sol.converged
@@ -72,7 +86,7 @@ def test_solve_linear_zero_input():
 def test_solve_linear_constants_fixed_at_mu_zero():
     c = 2.0 - 1.0j
     pair = FieldPair(Field.constant(SMALL, "unit", c), Field.constant(SMALL, "unit", c))
-    sol = solve_linear(pair, ModelParams(mu=0.0, v=0.01), SMALL)
+    sol = solve_linear(pair, ModelParams(mu=0.0, v=0.01))
     np.testing.assert_allclose(sol.phi.values, c, atol=1e-12)
     np.testing.assert_allclose(sol.phi_star.values, c, atol=1e-12)
 
@@ -80,7 +94,7 @@ def test_solve_linear_constants_fixed_at_mu_zero():
 def test_solve_linear_residual_small_on_random_data():
     rng = np.random.default_rng(1)
     pair = FieldPair.random(TIMEY, "unit", rng, amplitude=1.0)
-    sol = solve_linear(pair, ModelParams(mu=0.3, v=0.01), TIMEY)
+    sol = solve_linear(pair, ModelParams(mu=0.3, v=0.01))
     assert sol.converged
     assert max(sol.residual) <= 1e-10
 
@@ -91,12 +105,40 @@ def test_linear_solves_at_unit_extent_three(dims):
     # pair with the right block momenta
     s = make_shape(*dims)
     rng = np.random.default_rng(7)
-    sol = solve_linear(FieldPair.random(s, "unit", rng), ModelParams(mu=0.3, v=0.01), s)
+    sol = solve_linear(FieldPair.random(s, "unit", rng), ModelParams(mu=0.3, v=0.01))
     assert sol.converged
     assert max(sol.residual) <= 1e-10
     R, T = Field.random(s, "unit", rng), Field.random(s, "unit", rng)
     for mode in ("discrete", "continuum"):
-        solve_well_linear(R, T, ModelParams(mu=2.0, v=0.5), s, mode=mode)  # raises above its residual bound
+        solve_well_linear(R, T, ModelParams(mu=2.0, v=0.5), mode=mode)  # raises above its residual bound
+
+
+@pytest.mark.parametrize("dims, other", [((1, 3, 3, 1), (0, 3, 27, 3)), ((1, 3, 2, 2), (0, 3, 18, 6)),
+                                         ((1, 3, 1, 3), (0, 3, 9, 9))])
+def test_nonlinear_solve_rejects_a_shape_that_is_not_the_pairs_torus(dims, other):
+    # the two tori share their fine extents but not their boxes: solved on
+    # ``other``, the backgrounds were averaged over the wrong boxes
+    shape, other = make_shape(*dims), make_shape(*other)
+    assert shape.fine_extents == other.fine_extents
+    pair = FieldPair.random(shape, "unit", np.random.default_rng(2), amplitude=0.1)
+    params = ModelParams(mu=0.3, v=0.01)
+    with pytest.raises(LatticeError, match="not the external fields' torus") as info:
+        solve_nonlinear(pair, params, other)
+    assert str(shape) in str(info.value) and str(other) in str(info.value)
+    phi = np.zeros(shape.fine_extents, dtype=complex)
+    with pytest.raises(LatticeError, match="not the external fields' torus"):
+        nonlinear_residuals(pair, phi, phi, params, other)
+
+
+def test_well_fields_on_two_tori_rejected():
+    params = ModelParams(mu=2.0, v=0.5)
+    unit_twin = make_shape(2, 3, 1, 1)  # SMALL's unit extents (1,1,1,1)
+    with pytest.raises(LatticeError, match="two tori") as info:
+        solve_well_linear(Field.zeros(SMALL, "unit"), Field.zeros(unit_twin, "unit"), params)
+    assert str(SMALL) in str(info.value) and str(unit_twin) in str(info.value)
+    fine_twin = make_shape(0, 3, 9, 3)  # SMALL's fine extents (9,3,3,3)
+    with pytest.raises(LatticeError, match="two tori"):
+        apply_well_operator(Field.zeros(SMALL, "fine"), Field.zeros(fine_twin, "fine"), params)
 
 
 @pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
@@ -169,7 +211,7 @@ def test_linear_vs_nonlinear_cubic_scaling():
         pair = base.scaled(lam)
         nl = solve_nonlinear(pair, params, SMALL, tol=1e-13)
         assert nl.converged
-        li = solve_linear(pair, params, SMALL)
+        li = solve_linear(pair, params)
         err = max(
             np.max(np.abs(nl.phi.values - li.phi.values)),
             np.max(np.abs(nl.phi_star.values - li.phi_star.values)),
@@ -182,11 +224,11 @@ def test_linear_vs_nonlinear_cubic_scaling():
 
 def test_well_linear_zero_and_constant():
     params = ModelParams(mu=2.0, v=0.5)
-    X, H = solve_well_linear(Field.zeros(SMALL, "unit"), Field.zeros(SMALL, "unit"), params, SMALL)
+    X, H = solve_well_linear(Field.zeros(SMALL, "unit"), Field.zeros(SMALL, "unit"), params)
     assert np.max(np.abs(X.values)) == 0.0 and np.max(np.abs(H.values)) == 0.0
     rho = 0.3
     X, H = solve_well_linear(
-        Field.constant(SMALL, "unit", rho), Field.constant(SMALL, "unit", 0.0), params, SMALL, mode="continuum"
+        Field.constant(SMALL, "unit", rho), Field.constant(SMALL, "unit", 0.0), params, mode="continuum"
     )
     np.testing.assert_allclose(X.values, rho / (1.0 + 2.0 * params.mu), atol=1e-12)
     np.testing.assert_allclose(H.values, 0.0, atol=1e-12)
@@ -197,7 +239,7 @@ def test_well_linear_rejects_a_nan_residual():
     vals = np.zeros(TIMEY.unit_extents, dtype=complex)
     vals[1, 0, 0, 0] = np.nan
     with pytest.raises(NumericalError, match="well solve residual nan"):
-        solve_well_linear(Field(TIMEY, "unit", vals), Field.zeros(TIMEY, "unit"), ModelParams(mu=2.0, v=0.5), TIMEY)
+        solve_well_linear(Field(TIMEY, "unit", vals), Field.zeros(TIMEY, "unit"), ModelParams(mu=2.0, v=0.5))
 
 
 @pytest.mark.parametrize("member", ["starred", "plain"])
@@ -223,7 +265,7 @@ def test_well_ansatz_quadratic_scaling():
         lam = 2.0**-e
         R = R0.with_values(lam * R0.values)
         T = T0.with_values(lam * T0.values)
-        X, H = solve_well_linear(R, T, params, SMALL, mode="discrete")
+        X, H = solve_well_linear(R, T, params, mode="discrete")
         psi = FieldPair(
             Field(SMALL, "unit", r * np.exp(R.values - 1j * T.values)),
             Field(SMALL, "unit", r * np.exp(R.values + 1j * T.values)),

@@ -16,12 +16,9 @@ from blockspin.lattice_ops import (
     forward_difference,
     from_next_scale,
     laplacian,
-    local_coupling,
     operator_matrix,
-    scale_interaction_kernel,
     to_next_scale,
 )
-from blockspin.norms import Kernel
 from blockspin.torus import (
     Field,
     TorusShape,
@@ -293,27 +290,6 @@ def test_operator_matrix_matches_apply():
     M = operator_matrix(lambda f: apply_heat(f, 1.0), s, "unit", "unit")
     f = Field.random(s, "unit", rng)
     np.testing.assert_allclose(M @ f.values.reshape(-1), apply_heat(f, 1.0).values.reshape(-1), atol=1e-12)
-
-
-def test_scale_interaction_kernel_identity_at_zero():
-    V = Kernel.delta((4, 4, 4, 4), strength=2.0, block_factor=3)
-    assert scale_interaction_kernel(V, 0) is V
-
-
-def test_scale_interaction_kernel_local_coupling():
-    V = Kernel.delta((4, 4, 4, 4), strength=1.0, block_factor=3)
-    V1 = scale_interaction_kernel(V, 1)
-    assert local_coupling(V, 0) == pytest.approx(1.0)
-    assert local_coupling(V1, 1) == pytest.approx(1.0 / 3.0)
-
-
-def test_scale_interaction_kernel_generic_two_point():
-    key = ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0))
-    V = Kernel(4, (4, 4, 4, 4), {key: 0.25 - 0.5j}, block_factor=3)
-    V1 = scale_interaction_kernel(V, 1)
-    # direct substitution: value scales by L^(-n) * (L^(5n))^3 = 3^14
-    assert V1.entries[key] == pytest.approx((0.25 - 0.5j) * 3.0**14)
-    assert V1.extents == V.extents
 
 
 def test_profile_validation():

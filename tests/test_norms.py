@@ -47,5 +47,5 @@ def test_kernel_norm_translation_invariant(m, ext, data):
     entries = {key: complex(rng.standard_normal(), rng.standard_normal()) for key in keys}
     shift = data.draw(st.tuples(*(st.integers(0, e - 1) for e in ext)))
     moved = {tuple(tuple(c + s for c, s in zip(site, shift)) for site in key): val for key, val in entries.items()}
-    norm = kernel_norm(Kernel.from_entries(3, ext, entries), m)
-    assert kernel_norm(Kernel.from_entries(3, ext, moved), m) == pytest.approx(norm, rel=1e-12)
+    norm = kernel_norm(Kernel(3, ext, entries), m)
+    assert kernel_norm(Kernel(3, ext, moved), m) == pytest.approx(norm, rel=1e-12)

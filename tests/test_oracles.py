@@ -75,10 +75,10 @@ def test_gmres_newton_direction_solves_the_dense_jacobian(dims, profile, regime)
     params, pair = _external_pair(shape, regime, np.random.default_rng(11))
     fiber = _FiberOperator(shape, params, profile)
     psi_rhs = _nonlinear_rhs(pair, profile)
-    phi_star, phi = _seed_fields(pair, params, shape, profile, "auto", fiber, psi_rhs)
+    phi_star, phi = _seed_fields(pair, params, profile, "auto", fiber, psi_rhs)
     res_star, res_plain = nonlinear_residuals(pair, phi_star, phi, params, shape, profile, rhs=psi_rhs)
     rnorm = max(float(np.max(np.abs(res_star))), float(np.max(np.abs(res_plain))))
-    d_plain, d_star = _gmres_newton_step(fiber, shape, params, phi_star, phi, res_star, res_plain, rnorm)
+    d_plain, d_star = _gmres_newton_step(fiber, params, phi_star, phi, res_star, res_plain, rnorm)
 
     # solve_nonlinear's block layout: unknowns and equations (plain, starred)
     n = shape.sites("fine")

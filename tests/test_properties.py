@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockspin import symbols
-from blockspin.background import ModelParams, _direct_operator, _FiberOperator
+from blockspin.action import fluctuation_spectrum
+from blockspin.background import ModelParams, _direct_operator, _FiberOperator, solve_linear, solve_well_linear
 from blockspin.flow import (QuadraticAction, apply_offset_kernel, block_spin_step, block_spin_step_dense,
                             localize_quadratic, quadratic_action_form)
 from blockspin.lattice_ops import SHARP, SMOOTH, forward_difference
@@ -26,7 +27,7 @@ from blockspin.symbols import (
     zero_field_symbol,
     zero_field_symbol_dense,
 )
-from blockspin.torus import Field, dual_modes, inner_product, make_shape, radians_for_modes
+from blockspin.torus import Field, FieldPair, dual_modes, inner_product, make_shape, radians_for_modes
 
 shapes = st.tuples(st.just(3), st.sampled_from([3, 9]), st.sampled_from([1, 3]))  # (L, Nt, Nx)
 mus = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
@@ -250,3 +251,51 @@ def test_localize_reconstructs_random_kernel(nt, nx, entries, seed):
         later[(slice(None),) * (axis + 1) + (0,) * (3 - axis)] = False
         assert np.all(kernels[axis][later] == 0.0)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+def _exact_real_values(values):
+    """The distinct real, nonnegative entries of ``values``, exactly as held."""
+    v = values.reshape(-1)
+    return np.unique(v[(v.imag == 0) & (v.real >= 0)].real)
+
+
+@pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
+@pytest.mark.parametrize("dims", [(1, 3, 1, 1), (1, 3, 3, 1)])
+def test_pole_sweep_raises_at_a_row_or_returns_finite(dims, profile):
+    # mu set exactly to each entry point's own fiber values: the fiber data
+    # at mu = 0 for the solvers, symbols and spectrum, the step input's symbol
+    # for the step.  Each call names a fiber row or returns finite values
+    shape = make_shape(*dims)
+    rng = np.random.default_rng(5)
+    pair = FieldPair.random(shape, "unit", rng)
+    R, Th = Field.random(shape, "unit", rng), Field.random(shape, "unit", rng)
+    k = radians_for_modes(shape, dual_modes(shape, "unit")).reshape(-1, 4)
+    raised = set()
+
+    def check(name, call, values=lambda out: (out,)):
+        try:
+            out = call()
+        except NumericalError as exc:
+            assert exc.row is not None and str(exc).startswith(f"fiber row {exc.row} singular"), (name, exc)
+            raised.add(name)
+            return
+        assert all(np.isfinite(v).all() for v in values(out)), name
+
+    for mu in _exact_real_values(_FiberOperator(shape, ModelParams(mu=0.0, v=1.0)).a_plain):
+        p = ModelParams(mu=float(mu), v=1.0)
+        check("solve_linear", lambda: solve_linear(pair, p, profile), lambda s: (s.phi_star.values, s.phi.values))
+        check("solve_well_linear", lambda: solve_well_linear(R, Th, p, profile=profile),
+              lambda xh: (xh[0].values, xh[1].values))
+        check("zero_field_symbol", lambda: zero_field_symbol(k, p.mu, p.d, shape, "discrete", profile))
+        check("well_symbol", lambda: well_symbol(k, p.mu, p.d, shape, "discrete", profile))
+        check("fluctuation_spectrum", lambda: fluctuation_spectrum(p, shape, profile),
+              lambda r: (r.eigenvalues, r.min_distance, r.sqrt_residual))
+    ext = shape.fine_extents
+    for mu in _exact_real_values(QuadraticAction.from_heat_minus_mu(ext, 0.0).symbol_grid):
+        pair_form = QuadraticAction.from_heat_minus_mu(ext, float(mu))
+        grid_form = QuadraticAction(ext, pair_form.symbol_grid)
+        for name, action in (("step pair", pair_form), ("step grid", grid_form)):
+            check(name, lambda: block_spin_step(action, 3, profile), lambda a: (a.symbol_grid,))
+    # the sweep reaches poles: each entry point on scalar fibers refused some mu (at
+    # these mu the 2x2 well fibers hold only the k = 0 pole, which has live weight)
+    assert raised >= {"solve_linear", "zero_field_symbol", "fluctuation_spectrum", "step pair", "step grid"}
