@@ -28,6 +28,15 @@ per-axis format of :mod:`blockspin.torus` or from a (..., 4) array.  The
 dense oracles evaluate pointwise on the (blocks, 4) array k +
 :func:`blockspin.torus.block_momenta`.
 
+The batched symbols (:func:`zero_field_symbol`, :func:`well_symbol`) run
+their kernel once per cube orbit of the momenta they are given: momenta
+with the same time component and the same spatial components up to signs
+and order.  This is exact up to round-off: the elementary symbols are even
+in each spatial component and symmetric under permuting the spatial axes,
+and with L odd the block momenta are closed under negation and the same on
+every spatial axis, so orbit mates have the same fiber entries in another
+order.  The 625 momenta of a :func:`small_k_fit` stencil are 50 orbits.
+
 Two time-derivative modes are supported:
 
 * ``discrete``  -- honest lattice difference symbols,
@@ -317,15 +326,15 @@ def well_resolvent(D: np.ndarray, u: np.ndarray, w: np.ndarray | None = None):
 _BATCH_ENTRIES = 1 << 14
 
 
-def _row_batches(count: int, row_entries: int, rows, index_shape: tuple[int, ...] = ()) -> np.ndarray:
+def _row_batches(count: int, row_entries: int, rows, name=lambda flat: (flat,)) -> np.ndarray:
     """rows(s) over consecutive slices s of range(count), stacked along axis 0.
 
     Each slice holds max(1, _BATCH_ENTRIES // row_entries) items of
     ``row_entries`` fiber entries each, and the slices run in order on the
     caller's thread.  rows(s) returns one result per fiber row of the kernel
     it runs, so a :class:`NumericalError` naming row (r,) of a batch is
-    re-raised naming the caller's row: the rows stacked before the batch
-    plus r, unravelled to ``index_shape`` when given.
+    re-raised naming the caller's row ``name(flat)``, with flat the rows
+    stacked before the batch plus r.
     """
     step = max(1, _BATCH_ENTRIES // row_entries)
     parts, done = [], 0
@@ -336,19 +345,57 @@ def _row_batches(count: int, row_entries: int, rows, index_shape: tuple[int, ...
     except NumericalError as exc:
         if exc.row is None:
             raise
-        flat = done + exc.row[0]
-        row = tuple(int(i) for i in np.unravel_index(flat, index_shape)) if index_shape else (flat,)
-        raise _singular_row(row, exc.why) from None
+        raise _singular_row(name(done + exc.row[0]), exc.why) from None
     return np.concatenate(parts)
 
 
+def _orbits(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cube orbits of the momenta ``flat`` (n, 4), all finite.
+
+    Two momenta share an orbit when their time components are equal and
+    their spatial components are equal up to signs and order: the key is
+    (k0, sorted(|k1|, |k2|, |k3|)), deduplicated on a bytes view of its rows.
+    Returns (first, inverse): the index in ``flat`` of each orbit's first
+    member, increasing, and for each momentum the position of its orbit in
+    ``first``.
+    """
+    key = np.empty(flat.shape)
+    key[:, 0] = flat[:, 0] + 0.0  # -0.0 keys as 0.0
+    key[:, 1:] = np.sort(np.abs(flat[:, 1:]), axis=1)
+    rows = key.view(np.dtype((np.void, 4 * key.itemsize))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
+
+
 def _in_batches(k, shape: TorusShape, rows):
-    """rows(kb) over batches kb (n, 4) of the momenta k (..., 4), stacked back
-    to k's shape; errors name the index in k."""
+    """rows(kb) over batches kb (n, 4) of the first momentum of each cube
+    orbit (:func:`_orbits`) of the momenta k (..., 4), in the order of k,
+    scattered back to k's shape.
+
+    Exact up to round-off: the kernel inputs are even in each spatial
+    component and symmetric under permuting the spatial axes, and the block
+    momenta (L odd) are closed under negation and the same on every spatial
+    axis, so orbit mates hold the same fiber entries in another order.  A
+    :class:`NumericalError` names the representative's index in k, the
+    first index in k of a singular orbit; a non-finite momentum raises
+    :class:`LatticeError` naming the first.
+    """
     k = _as_k_array(k)
     flat = k.reshape(-1, 4)
-    out = _row_batches(len(flat), shape.mt * shape.mx**3, lambda s: rows(flat[s]), k.shape[:-1])
-    return out.reshape(k.shape[:-1] + out.shape[1:])
+    index_shape = k.shape[:-1] or (1,)
+
+    def name(flat_index):
+        return tuple(int(i) for i in np.unravel_index(flat_index, index_shape))
+
+    bad = ~np.isfinite(flat).all(axis=1)
+    if bad.any():
+        first_bad = int(np.argmax(bad))
+        raise LatticeError(f"momentum {name(first_bad)} is not finite: {flat[first_bad]}")
+    first, inverse = _orbits(flat)
+    reps = flat[first]
+    out = _row_batches(len(reps), shape.mt * shape.mx**3, lambda s: rows(reps[s]), lambda r: name(first[r]))
+    return out[inverse].reshape(k.shape[:-1] + out.shape[1:])
 
 
 def _fiber_terms(p, mu, d, shape, mode, profile):
@@ -364,11 +411,15 @@ def zero_field_symbol(k, mu, d, shape: TorusShape, mode: str = "discrete", profi
     by :func:`fiber_resolvent`.  Where exactly one fiber entry of (heat - mu)
     vanishes with nonzero averaging weight the limit value 0 is exact; any
     other vanishing combination means the subtraction point sits in the
-    operator's spectrum and raises :class:`NumericalError`.
+    operator's spectrum and raises :class:`NumericalError`.  The kernel runs
+    once per cube orbit of k (see :func:`_in_batches`): orbit mates get the
+    value of the orbit's first momentum, which differs from their own only
+    at round-off.
     """
     def rows(kb):
         a, u = _fiber_terms(fiber_momenta_at(kb, shape), mu, d, shape, mode, profile)
-        return fiber_resolvent(a.reshape(len(kb), -1), u.reshape(len(kb), -1))
+        fibers = (len(kb), shape.mt * shape.mx**3)
+        return fiber_resolvent(a.reshape(fibers), u.reshape(fibers))
 
     sigma = _in_batches(k, shape, rows)
     return sigma if sigma.ndim else complex(sigma)
@@ -457,11 +508,14 @@ def well_symbol(k, mu, d, shape: TorusShape, mode: str = "continuum",
     the averaged well-operator inverse.  Works for single momenta or batches
     (..., 4); returns (..., 2, 2).  The vanishing of the bare well matrix at
     p = 0 is absorbed by the reformulation
-    (I + u0^2 D^-1 + R)^(-1) = (D + u0^2 I + D R)^(-1) D.
+    (I + u0^2 D^-1 + R)^(-1) = (D + u0^2 I + D R)^(-1) D.  As for
+    :func:`zero_field_symbol`, the kernel runs once per cube orbit of k:
+    the well matrix depends on the spatial momentum only through the even,
+    axis-symmetric spatial stencil.
     """
     def rows(kb):
         p = fiber_momenta_at(kb, shape)
-        u = averaging_symbol(p, shape, profile).reshape(len(kb), -1)
+        u = averaging_symbol(p, shape, profile).reshape(len(kb), shape.mt * shape.mx**3)
         return well_resolvent(well_matrix(p, mu, d, shape, mode).reshape(u.shape + (2, 2)), u)
 
     return _in_batches(k, shape, rows)
@@ -514,6 +568,8 @@ class SmallKFit:
 def fit_window_momenta(window: float) -> np.ndarray:
     """Symmetric sample stencil, (625, 4): every 4-tuple of per-axis
     components in {0, +-w/2, +-w}, k = 0 included."""
+    if not np.isfinite(window):
+        raise LatticeError(f"fit window must be finite, got {window}")
     vals = np.array([-window, -window / 2, 0.0, window / 2, window])
     grids = np.meshgrid(vals, vals, vals, vals, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)

@@ -76,6 +76,35 @@ def test_well_symbol_matches_dense(dims, mu, d, mode, profile, seed):
     _close(fast, dense)
 
 
+def _orbit_mates(k, rng):
+    """Each momentum with its spatial components sign-flipped and permuted at random."""
+    mates = k.copy()
+    for row in mates:
+        row[1:] = rng.choice([-1.0, 1.0], 3) * rng.permutation(row[1:])
+    return mates
+
+
+@settings(max_examples=8)
+@given(st.sampled_from([(1, 3), (3, 3), (3, 1)]), st.floats(0.0, 0.9), modes, profiles, st.floats(0.01, 1.0),
+       st.integers(0, 2**16))
+def test_cube_orbit_mates_share_their_symbols(dims, mu, mode, profile, window, seed):
+    # the batched symbols evaluate one momentum per cube orbit: every mate,
+    # on or off the lattice, must still match its own dense fiber
+    s = make_shape(1, 3, *dims)
+    rng = np.random.default_rng(seed)
+    stencil = symbols.fit_window_momenta(window)
+    base = np.vstack([_unit_momenta(s, seed, 2)[1:], stencil[rng.choice(len(stencil), 2, replace=False)]])
+    k = np.vstack([base, _orbit_mates(base, rng)])
+    evaluations = ((zero_field_symbol, lambda kk: zero_field_symbol_dense(kk, mu, 1.0, s, mode, profile)),
+                   (well_symbol, lambda kk: well_fiber_dense(kk, mu, 1.0, s, mode, profile)[1]))
+    for fast, dense in evaluations:
+        together = fast(k, mu, 1.0, s, mode, profile)
+        alone = np.array([fast(kk, mu, 1.0, s, mode, profile) for kk in k])
+        _close(alone[len(base):], alone[: len(base)])
+        _close(together, np.array([dense(kk) for kk in k]))
+        _close(alone, together)
+
+
 @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**16))
 def test_fiber_resolvent_matches_dense_solve(rows, blocks, seed):
     rng = np.random.default_rng(seed)

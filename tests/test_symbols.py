@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blockspin import symbols
 from blockspin.lattice_ops import (
     SHARP,
     SMOOTH,
@@ -29,7 +30,8 @@ from blockspin.symbols import (
     zero_field_symbol,
     zero_field_symbol_dense,
 )
-from blockspin.torus import Field, LatticeError, block_momenta, fiber_momenta, fiber_momenta_at, make_shape
+from blockspin.torus import (Field, LatticeError, block_momenta, dual_modes, fiber_momenta, fiber_momenta_at, make_shape,
+                             radians_for_modes)
 
 
 def direct_profile_transform(p, shape, profile):
@@ -456,3 +458,63 @@ def test_fiber_resolvent_on_a_single_row():
         assert sigma == sigma_b[0] and np.array_equal(x, x_b[0])
         assert fiber_resolvent(a, u) == sigma_b[0]
         assert (sigma == 0.0) == (pole is not None)
+
+
+def test_non_finite_momenta_name_the_first_bad_index():
+    s = make_shape(1, 3, 1, 1)
+    k = np.random.default_rng(1).uniform(-1.0, 1.0, (2, 3, 4))
+    k[1, 2, 0] = np.nan
+    k[1, 1, 3] = np.inf
+    for f in (zero_field_symbol, well_symbol):
+        with pytest.raises(LatticeError, match=r"momentum \(1, 1\) is not finite"):
+            f(k, 0.3, 1.0, s)
+        with pytest.raises(LatticeError, match=r"momentum \(4,\) is not finite"):
+            f(k.reshape(-1, 4), 0.3, 1.0, s)
+        with pytest.raises(LatticeError, match=r"momentum \(0,\) is not finite"):
+            f(np.array([0.1, -np.inf, 0.0, 0.2]), 0.3, 1.0, s)
+    with pytest.raises(LatticeError, match="window"):
+        small_k_fit(lambda q: np.ones(len(q)), np.nan)
+    with pytest.raises(LatticeError, match="window"):
+        small_k_fit(lambda q: zero_field_symbol(q, 0.3, 1.0, s), np.inf)
+
+
+def test_empty_momenta_give_empty_symbols():
+    s = make_shape(1, 3, 3, 1)
+    for k, batch in ((np.zeros((0, 4)), (0,)), (np.zeros((2, 0, 4)), (2, 0))):
+        assert zero_field_symbol(k, 0.3, 1.0, s).shape == batch
+        assert well_symbol(k, 0.3, 1.0, s, "discrete", SMOOTH).shape == batch + (2, 2)
+
+
+def test_a_singular_orbit_is_named_at_its_first_index():
+    # mu is a heat value held twice on the pole momentum's fiber: two poles.  Its
+    # mate (spatial axes 1 and 2 swapped, one sign flipped) holds the same entries
+    # bitwise and comes first in k, so the error names the mate
+    s = make_shape(1, 3, 1, 3)
+    pole = np.array([0.0, 2.0 * np.pi / 3.0, 0.0, 0.0])
+    mate = np.array([0.0, 0.0, -2.0 * np.pi / 3.0, 0.0])
+    a = heat_symbol(fiber_momenta_at(pole, s), s).reshape(-1)
+    values, counts = np.unique(a[a.imag == 0].real, return_counts=True)
+    mu = float(values[counts > 1][0])
+    generic = np.random.default_rng(2).uniform(0.3, 1.3, (3, 4))
+    with pytest.raises(NumericalError, match=r"fiber row \(1,\) singular") as err:
+        zero_field_symbol(np.stack([generic[0], mate, pole]), mu, 1.0, s)
+    assert err.value.row == (1,)
+    k = np.stack([generic[0], generic[1], generic[2], mate, pole, generic[0]]).reshape(2, 3, 4)
+    with pytest.raises(NumericalError, match=r"fiber row \(1, 0\) singular"):
+        zero_field_symbol(k, mu, 1.0, s)
+
+
+def test_symbols_run_their_kernel_once_per_cube_orbit(monkeypatch):
+    # the 625 stencil momenta of a fit fall into 5 x 10 orbits; the 243 unit
+    # momenta of (1,3,9,3) into 9 time components x 4 spatial orbits
+    rows = {"fiber_resolvent": 0, "well_resolvent": 0}
+    for name in rows:
+        def counted(a, u, *rest, kernel=getattr(symbols, name), name=name):
+            rows[name] += len(a)
+            return kernel(a, u, *rest)
+        monkeypatch.setattr(symbols, name, counted)
+    small_k_fit(lambda q: zero_field_symbol(q, 0.3, 1.0, make_shape(1, 3, 1, 1)), 0.1)
+    assert rows == {"fiber_resolvent": 50, "well_resolvent": 0}
+    s = make_shape(1, 3, 9, 3)
+    well_symbol(radians_for_modes(s, dual_modes(s, "unit")), 0.3, 1.0, s, "discrete")
+    assert rows == {"fiber_resolvent": 50, "well_resolvent": 36}
