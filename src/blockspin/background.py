@@ -78,7 +78,7 @@ class ModelParams:
     """Chemical potential, local coupling, and time-derivative weight.
 
     The well radius sqrt(mu/v) is derived, so radius^2 * v = mu holds by
-    construction.  mu = 0 is allowed (radius 0).
+    construction.  mu = 0 is allowed (radius 0); a non-finite value raises.
     """
 
     mu: float
@@ -86,6 +86,9 @@ class ModelParams:
     d: float = 1.0
 
     def __post_init__(self):
+        for name in ("mu", "v", "d"):
+            if not np.isfinite(getattr(self, name)):
+                raise LatticeError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mu < 0:
             raise LatticeError("chemical potential must be >= 0")
         if self.v <= 0:

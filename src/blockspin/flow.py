@@ -26,9 +26,10 @@ The chemical-potential trace is quadratic-level bookkeeping: the step's
 zero-momentum remainder feeds a fixed-point update mu_{n+1} = L^2 mu_n +
 correction(mu_{n+1}).  That remainder has a closed form, L^4 x^2 / (1 - L^2 x)
 at input mass x, because the zero-momentum fiber couples only its p = 0
-entry; so the trace runs no step, and the quadratic level is blind to the
-averaging profile.  It mirrors, but does not reproduce, the full flow,
-whose correction includes non-Gaussian parts of the fluctuation integral.
+entry; so the update is a quadratic with an explicit root, the trace runs
+no step and no iteration, and the quadratic level is blind to the averaging
+profile.  It mirrors, but does not reproduce, the full flow, whose
+correction includes non-Gaussian parts of the fluctuation integral.
 """
 
 from __future__ import annotations
@@ -95,7 +96,10 @@ def _block_prefactor(n: int, L: int) -> float:
 
 
 def max_steps(v0: float, L: int) -> int:
-    """Largest admissible scale index: floor((2/5) log(1/v0) / log L)."""
+    """Largest admissible scale index: floor((2/5) log(1/v0) / log L).  A
+    coupling v0 outside (0, 1], NaN included, raises :class:`LatticeError`."""
+    if not 0.0 < v0 <= 1.0:
+        raise LatticeError(f"initial coupling v0 must lie in (0, 1], got {v0}")
     return int(math.floor(0.4 * math.log(1.0 / v0) / math.log(L)))
 
 
@@ -111,15 +115,16 @@ def flow_params_at(n: int, mu0: float, v0: float, L: int, eps: float = 0.01,
     mu_n = L^(2n) mu0 (or the supplied override from a renormalized trace),
     v_n = v0 / L^n, the block prefactor from its closed form, and the field
     radii L^(3n/4) v0^(-1/3+eps) and L^(3n/8) v0^(-1/3+eps).  Initial data
-    outside the admissible window only warns.
+    outside the admissible window only warns; v0 outside (0, 1] raises.
     """
     if n < 0:
         raise LatticeError("scale index must be nonnegative")
+    n_max = max_steps(v0, L)
     lo, hi = admissible_window(mu0, v0)
     if not (lo < mu0 < hi):
         warnings.warn(f"initial chemical potential {mu0:.3g} outside the admissible window ({lo:.3g}, {hi:.3g})")
-    if n > max_steps(v0, L):
-        warnings.warn(f"scale {n} beyond the admissible number of steps {max_steps(v0, L)}")
+    if n > n_max:
+        warnings.warn(f"scale {n} beyond the admissible number of steps {n_max}")
     mu = float(mu_override) if mu_override is not None else float(L ** (2 * n)) * mu0
     radius_base = v0 ** (-1.0 / 3.0 + eps)
     return FlowParams(
@@ -486,46 +491,26 @@ def quadratic_mass_correction(mu_in: float, L: int) -> float:
     return float(L**4 * mu_in * mu_in / den)
 
 
-def renormalize_mu(flow: FlowParams, correction, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Self-consistent next chemical potential: fixed point of
-    mu -> L^2 * flow.mu + correction(mu).
+#: the tangency 3 - 2 sqrt 2 of mu = B + mu^2/(1 - mu), and its other root 3 + 2 sqrt 2
+_R_MINUS, _R_PLUS = 3.0 - 2.0 * math.sqrt(2.0), 3.0 + 2.0 * math.sqrt(2.0)
 
-    The correction map's contraction property is estimated by sampling a
-    difference quotient near L^2 * flow.mu before iterating.  The iteration
-    raises :class:`NumericalError` as soon as a gap |mu_(k+1) - mu_k| is no
-    smaller than the gap before it: the orbit has stopped contracting, as it
-    does for the quadratic correction mu^2/(1 - mu) when the base exceeds
-    3 - 2 sqrt 2 and there is no fixed point.  Below its smaller fixed point
-    the map base + mu^2/(1 - mu) is convex and increasing, so a converging
-    orbit's gaps shrink monotonically.
 
-    It returns mu_(k+1) once gap / (1 - rho) <= tol * max(1, |mu_(k+1)|),
-    with rho the ratio of the last two gaps (0 on the first step, where the
-    gap alone counts).  For an orbit contracting at rate rho that is the
-    distance of mu_k from the fixed point, which bounds mu_(k+1)'s: near the
-    tangency rho approaches 1, and a small gap alone would stop far from the
-    fixed point.  An orbit still moving after ``max_iter`` steps raises too.
+def renormalize_mu(flow: FlowParams) -> float:
+    """Self-consistent next chemical potential: the smaller root m of m = B +
+    m^2/(1 - m), B = L^2 * flow.mu, whose last term is
+    :func:`quadratic_mass_correction` at the pulled-back input m/L^2.
+
+    So 2m^2 - (1 + B)m + B = 0, with discriminant (B - r-)(B - r+), r+- =
+    3 +- 2 sqrt 2, and m = 2B / ((1 + B) + sqrt((B - r-)(B - r+))), free of
+    cancellation and exact to round-off; m <= 1 - sqrt(2)/2, the double root
+    at B = r-.  Unless B <= r- (so for NaN too, and for B >= r+, where both
+    roots lie beyond the pole at m = 1) it raises :class:`NumericalError`.
     """
-    Lsq = float(flow.L * flow.L)
-    base = Lsq * flow.mu
-    if base == 0.0:
-        return 0.0
-    h = 0.05 * base
-    lip = abs(correction(base + h) - correction(base - h)) / (2.0 * h)
-    if lip >= 1.0:
-        raise NumericalError(f"chemical-potential correction is not a contraction (estimate {lip:.3f})")
-    mu, last_gap = base, math.inf
-    for _ in range(max_iter):
-        nxt = base + correction(mu)
-        gap = abs(nxt - mu)
-        if gap >= last_gap:
-            raise NumericalError(f"chemical-potential iteration stopped contracting at mu = {nxt:.6g} "
-                                 f"(gap {gap:.3g} after {last_gap:.3g})")
-        rho = gap / last_gap  # the contraction rate; 0 on the first step, where the gap alone counts
-        if gap / (1.0 - rho) <= tol * max(1.0, abs(nxt)):
-            return float(nxt)
-        mu, last_gap = nxt, gap
-    raise NumericalError("chemical-potential fixed point did not converge")
+    base = flow.L * flow.L * float(flow.mu)
+    if not -math.inf < base <= _R_MINUS:
+        raise NumericalError(f"no fixed point of mu = B + mu^2/(1 - mu) at B = L^2 mu = {base:.6g}: "
+                             f"it needs a finite B <= 3 - 2 sqrt 2")
+    return 2.0 * base / ((1.0 + base) + math.sqrt((base - _R_MINUS) * (base - _R_PLUS)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +522,9 @@ class FlowStep:
     """One scale of a :func:`run_flow` trace.
 
     ``stop`` is None except on a trace's last row, where it says why the
-    trace ended: "max_steps", "stop_mu", or "renormalize_mu: " and the
-    solver's message when the next scale's chemical potential has no
-    self-consistent value ("... is not a contraction", "... stopped
-    contracting at mu = ...", or "... did not converge").
+    trace ended: "max_steps", "stop_mu", or "renormalize_mu: no fixed point
+    ... at B = L^2 mu = ...", :func:`renormalize_mu`'s message, when the
+    next scale's chemical potential has no self-consistent value.
     """
 
     params: FlowParams
@@ -557,25 +541,30 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
     Halts after floor((2/5) log(1/v0)/log L) steps (or ``steps`` rows) or
     once the chemical potential reaches ``stop_mu``, whichever comes first.
     With ``renormalize`` the trace uses the quadratic-level fixed point per
-    step (the trial's pull-back mu/L^2 is the step input); otherwise the
-    closed form L^(2n) mu0.  The per-step correction is
+    step, :func:`renormalize_mu`'s root, exact to round-off (the trial's
+    pull-back mu/L^2 is the step input); otherwise the closed form L^(2n)
+    mu0.  The per-step correction is
     :func:`quadratic_mass_correction`'s closed form, so no step runs, and
     ``profile`` does not change the trace: the quadratic level is blind to
     the averaging profile.  ``shape`` must be a torus of this L that admits
-    a block step (L^2 | Nt, L | Nx), else :class:`LatticeError` before any
-    row.  The well geometry is per site, and a row is "parabolic" below
-    ``stop_mu``, else "transitional".  When the next scale's fixed point
-    does not exist or its correction is not a contraction (near the
-    correction's pole at input mu = L^-2), the trace ends at the last good
-    scale: the sampled contraction test fails, or the fixed-point orbit
-    stops contracting (see :func:`renormalize_mu`).  Each renormalized mu is
-    within 1e-12 * max(1, mu) of its fixed point by the orbit's estimated
-    contraction rate.  The last row's ``stop`` records why the trace ended.
+    a block step (L^2 | Nt, L | Nx), ``steps`` at least 1, ``mu0`` finite
+    and positive and ``v0`` in (0, 1], else :class:`LatticeError` before
+    any row.  The well geometry is per site, and a row is "parabolic" below
+    ``stop_mu``, else "transitional".  Where the next scale has no fixed
+    point (L^2 mu > 3 - 2 sqrt 2, short of the correction's pole at input
+    mu = L^-2) the trace ends at the last good scale.  A renormalized mu
+    never exceeds 1 - sqrt(2)/2 (about 0.293), so the default ``stop_mu`` =
+    0.5 ends a renormalized trace only at a first row mu0 >= 0.5.  The last
+    row's ``stop`` records why the trace ended (see :class:`FlowStep`).
     """
     if shape.L != L:
         raise LatticeError(f"run_flow at L={L} on a torus of L={shape.L}")
     if not shape.can_block_step:
         raise LatticeError(f"block step needs L^2 | Nt and L | Nx, got {shape.unit_extents}, L={L}")
+    if steps is not None and steps < 1:
+        raise LatticeError(f"a trace has at least one row, got steps={steps}")
+    if not 0.0 < mu0 < math.inf:
+        raise LatticeError(f"initial chemical potential must be finite and > 0, got {mu0}")
     n_last = max_steps(v0, L)
     if steps is not None:
         n_last = min(n_last, steps - 1)
@@ -591,13 +580,11 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
             break
         if n == n_last:
             break
-        if not renormalize:
-            mu_running = L * L * mu_running
-            continue
-        try:
-            mu_running = renormalize_mu(params, lambda m: quadratic_mass_correction(m / (L * L), L))
-        except NumericalError as exc:
-            stop = f"renormalize_mu: {exc}"
-            break
+        if renormalize:
+            try:
+                mu_running = renormalize_mu(params)
+            except NumericalError as exc:
+                stop = f"renormalize_mu: {exc}"
+                break
     trace[-1] = replace(trace[-1], stop=stop)
     return trace

@@ -190,8 +190,11 @@ def test_well_geometry_values_and_ratios():
     f = flow_params_at(0, mu0=0.02, v0=0.02, L=3)
     assert well_geometry(f).radius == pytest.approx(1.0)
     radii, depths = [], []
-    for n in range(4):
-        fn = flow_params_at(n, mu0=1e-4, v0=1e-3, L=3)
+    # mu0 = 1e-4 lies below the window (1.78e-4, 2e-3) of v0 = 1e-3, and scale 3 beyond its 2 steps
+    with pytest.warns(UserWarning, match="outside the admissible window"):
+        with pytest.warns(UserWarning, match="scale 3 beyond the admissible number of steps 2"):
+            scales = [flow_params_at(n, mu0=1e-4, v0=1e-3, L=3) for n in range(4)]
+    for fn in scales:
         g = well_geometry(fn)
         radii.append(g.radius)
         depths.append(g.depth)

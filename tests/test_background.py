@@ -35,6 +35,14 @@ def test_model_params_validation():
     assert p.well_radius**2 * p.v == pytest.approx(p.mu)
 
 
+@pytest.mark.parametrize("name", ["mu", "v", "d"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_model_params_reject_non_finite_values(name, value):
+    # NaN passes every range check, and inf every lower bound
+    with pytest.raises(LatticeError, match=f"{name} must be finite"):
+        ModelParams(**{"mu": 0.1, "v": 1.0, "d": 1.0, name: value})
+
+
 def test_solve_constant_three_roots():
     roots = solve_constant(0.0, ModelParams(mu=2.0, v=1.0))
     assert sorted(np.round(roots, 10)) == [-1.0, 0.0, 1.0]

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import re
@@ -6,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from blockspin import flow
 from blockspin.flow import (
@@ -79,7 +82,8 @@ def test_block_prefactor_values():
     assert flow_params_at(1, 1e-5, 1e-5, 3).a == 1.0
     assert flow_params_at(2, 1e-5, 1e-5, 3).a == 0.9  # (8/9)/(80/81) exactly
     # limit 1 - L^-2
-    assert flow_params_at(40, 1e-30, 1e-30, 3, eps=0.01).a == pytest.approx(1 - 3.0**-2, abs=1e-12)
+    with pytest.warns(UserWarning, match="scale 40 beyond the admissible number of steps 25"):
+        assert flow_params_at(40, 1e-30, 1e-30, 3, eps=0.01).a == pytest.approx(1 - 3.0**-2, abs=1e-12)
 
 
 def test_flow_params_leading_scaling():
@@ -386,7 +390,8 @@ def test_localize_reconstruction_random_kernel():
     grid = np.fft.fftn(kern)
     act = QuadraticAction(EXT, grid)
     # reconstruction: <psi_star, K psi> = scalar <psi_star, psi> + sum_axis <psi_star, K_axis d_axis psi>
-    _, kernels = localize_quadratic(act)
+    with pytest.warns(UserWarning, match="localized mass has imaginary part"):  # a random kernel's mass is complex
+        _, kernels = localize_quadratic(act)
     gap, lhs = _reconstruction_gap(act, kernels, complex(grid[0, 0, 0, 0]), rng)
     assert gap <= 1e-12 * max(1.0, lhs)
 
@@ -455,55 +460,47 @@ def test_apply_offset_kernel_rejects_mismatched_shape():
         apply_offset_kernel(np.zeros((4, 3, 3, 4), dtype=complex), f)
 
 
-def test_renormalize_mu_trivial_corrections():
-    f = flow_params_at(1, 1e-5, 1e-5, 3)
-    assert renormalize_mu(f, lambda mu: 0.0) == pytest.approx(9 * f.mu)
-    c = 2.5e-4
-    assert renormalize_mu(f, lambda mu: c) == pytest.approx(9 * f.mu + c)
+R_MINUS, R_PLUS = 3.0 - 2.0 * math.sqrt(2.0), 3.0 + 2.0 * math.sqrt(2.0)
 
 
-def test_renormalize_mu_flags_non_contraction():
-    f = flow_params_at(1, 1e-5, 1e-5, 3)
-    with pytest.raises(NumericalError):
-        renormalize_mu(f, lambda mu: 2.0 * mu)
+def _at_base(B, L=2):
+    """Flow params whose next scale's base L^2 mu is B; at L = 2 exactly B."""
+    return flow_params_at(1, 1e-5, 1e-5, L, mu_override=B / L**2)
 
 
-def _pulled_back_correction(calls):
-    def correction(m):  # the quadratic level's correction in the pulled-back mu
-        calls.append(m)
-        return m * m / (1.0 - m)
-    return correction
-
-
-def test_renormalize_mu_stops_when_the_orbit_stops_contracting():
-    # base B = 0.2 > 3 - 2 sqrt 2: mu = B + mu^2/(1 - mu) has no fixed point, and the
-    # orbit's gaps grow after four steps, long before it crosses the pole at mu = 1
-    calls = []
-    f = flow_params_at(1, 1e-5, 1e-5, 3, mu_override=0.2 / 9)
-    with pytest.raises(NumericalError, match=r"stopped contracting at mu = 0\.34"):
-        renormalize_mu(f, _pulled_back_correction(calls))
-    assert len(calls) <= 10 and max(calls) < 1.0
+def test_renormalize_mu_has_no_fixed_point_above_the_tangency():
+    # B = 0.2 > 3 - 2 sqrt 2: mu = B + mu^2/(1 - mu) has no real root
+    with pytest.raises(NumericalError, match=r"no fixed point .* at B = L\^2 mu = 0\.2:"):
+        renormalize_mu(_at_base(0.2, L=3))
 
 
 def test_renormalize_mu_converges_just_below_the_tangency():
-    # B = 0.17 < 3 - 2 sqrt 2: the orbit creeps up to the smaller root of
-    # 2 m^2 - (1 + B) m + B = 0 at rate about 0.87, its gaps shrinking all the way
-    B = 0.17
-    f = flow_params_at(1, 1e-5, 1e-5, 3, mu_override=B / 9)
-    root = ((1.0 + B) - math.sqrt((1.0 + B) ** 2 - 8.0 * B)) / 4.0
-    got = renormalize_mu(f, _pulled_back_correction([]), tol=1e-14, max_iter=400)
-    assert abs(got - root) <= 1e-12
+    # B = 0.17, just below 3 - 2 sqrt 2: the smaller root of 2 m^2 - (1 + B) m + B = 0
+    L = 3
+    f = _at_base(0.17, L)
+    B = L * L * f.mu
+    got = renormalize_mu(f)
+    assert got == pytest.approx(B + quadratic_mass_correction(got / L**2, L), rel=1e-14, abs=0.0)
+    assert got == pytest.approx(((1.0 + B) - math.sqrt((1.0 + B) ** 2 - 8.0 * B)) / 4.0, rel=1e-13, abs=0.0)
 
 
+@given(st.floats(-0.5, R_MINUS))
+@example(0.0)
+@example(R_MINUS)
+def test_renormalize_mu_is_the_smaller_root_up_to_the_tangency(B):
+    m = renormalize_mu(_at_base(B))
+    assert abs(m - (B + quadratic_mass_correction(m / 4, 2))) <= 1e-14 * abs(m)
+    assert m <= 1.0 - math.sqrt(2.0) / 2.0  # the double root at B = 3 - 2 sqrt 2
 
-def test_renormalize_mu_default_tol_bounds_the_distance_at_the_tangency():
-    # at rate about 0.87 a gap is about a seventh of the distance left, so the
-    # default tol must stop on the distance, not on the gap
-    B = 0.17
-    f = flow_params_at(1, 1e-5, 1e-5, 3, mu_override=B / 9)
-    root = ((1.0 + B) - math.sqrt((1.0 + B) ** 2 - 8.0 * B)) / 4.0
-    got = renormalize_mu(f, _pulled_back_correction([]))
-    assert abs(got - root) <= 1e-12 * max(1.0, root)
+
+@given(st.floats(R_MINUS, 50.0, exclude_min=True))
+@example(R_PLUS)  # from here on both roots lie beyond the pole at m = 1
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+def test_renormalize_mu_raises_without_a_fixed_point(B):
+    with pytest.raises(NumericalError, match="no fixed point"):
+        renormalize_mu(_at_base(B))
 
 
 def _stepped_mass(mu, L, ext, profile, d=1.0):
@@ -559,20 +556,27 @@ def test_run_flow_is_blind_to_profile(mu0, v0):
 
 @pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
 @pytest.mark.parametrize("mu0, v0", [(1e-5, 1e-5), (3.16e-5, 1e-5), (2e-7, 1e-6), (5e-4, 1e-3)])
-def test_run_flow_closed_form_matches_stepped_correction(monkeypatch, mu0, v0, profile):
-    # the trace's closed-form correction against the step on the minimal torus:
-    # same rows, same stops (3.16e-5 stops hard), the same mu to 1e-13
+def test_run_flow_closed_form_matches_stepped_correction(mu0, v0, profile):
+    # each renormalized row against the step on the minimal torus: mu_{n+1} =
+    # L^2 mu_n + the stepped correction at input mu_{n+1}/L^2, and a hard stop
+    # (3.16e-5 stops hard) only where L^2 mu is past the tangency
     L, shape = 3, make_shape(0, 3, 81, 9)
-    want = run_flow(mu0, v0, L, shape)
+    trace = run_flow(mu0, v0, L, shape, profile=profile)
+    for a, b in zip(trace, trace[1:]):
+        mu_in = b.params.mu / L**2
+        stepped = _stepped_mass(mu_in, L, (L * L, L, L, L), profile) - L * L * mu_in
+        assert b.params.mu == pytest.approx(L * L * a.params.mu + stepped, rel=1e-13, abs=0.0)
+    if trace[-1].stop.startswith("renormalize_mu: "):
+        assert L * L * trace[-1].params.mu > R_MINUS
+    else:
+        assert trace[-1].stop == "max_steps"
 
-    def stepped(mu_in, L):
-        return _stepped_mass(mu_in, L, (L * L, L, L, L), profile) - L * L * mu_in
 
-    monkeypatch.setattr(flow, "quadratic_mass_correction", stepped)
-    got = run_flow(mu0, v0, L, shape)
-    assert [(s.params.n, s.stop) for s in got] == [(s.params.n, s.stop) for s in want]
-    for a, b in zip(got, want):
-        assert a.params.mu == pytest.approx(b.params.mu, rel=1e-13, abs=0.0)
+def test_run_flow_runs_up_to_the_tangency():
+    # L^2 mu at the fourth row is 0.17041, just below 3 - 2 sqrt 2: the root exists
+    # (a fixed-point iteration would converge to it only at rate 0.889), so the trace runs on
+    trace = run_flow(2.5413384072301187e-05, 1e-5, 3, make_shape(0, 3, 81, 9))
+    assert len(trace) == 5 and trace[-1].stop == "max_steps"
 
 
 @pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
@@ -581,9 +585,11 @@ def test_run_flow_hard_stop_records_reason(mu0, profile):
     # near the correction's pole at input mu = L^-2 the next fixed point fails:
     # the trace ends at the last good scale and says why
     L, v0 = 3, 1e-5
-    trace = run_flow(mu0, v0, L, make_shape(0, 3, 81, 9), profile=profile)
-    with pytest.raises(NumericalError):  # the scale after the last row has no fixed point
-        renormalize_mu(trace[-1].params, lambda m: quadratic_mass_correction(m / L**2, L))
+    above = mu0 > v0**0.9  # 1e-4 lies above the admissible window
+    with pytest.warns(UserWarning, match="outside the admissible window") if above else contextlib.nullcontext():
+        trace = run_flow(mu0, v0, L, make_shape(0, 3, 81, 9), profile=profile)
+    with pytest.raises(NumericalError, match="no fixed point"):  # the scale after the last row has none
+        renormalize_mu(trace[-1].params)
     assert 1 <= len(trace) <= max_steps(v0, L) + 1
     assert trace[-1].stop.startswith("renormalize_mu: ")
     assert all(step.stop is None for step in trace[:-1])
@@ -595,7 +601,8 @@ def test_run_flow_hard_stop_records_reason(mu0, profile):
 def test_run_flow_records_regular_stop_and_guards_shape():
     assert run_flow(1e-5, 1e-5, 3, make_shape(0, 3, 9, 3))[-1].stop == "max_steps"
     assert run_flow(1e-5, 1e-5, 3, make_shape(0, 3, 9, 3), steps=2)[-1].stop == "max_steps"
-    assert run_flow(3e-3, 1e-6, 3, make_shape(0, 3, 9, 3), renormalize=False)[-1].stop == "stop_mu"
+    with pytest.warns(UserWarning, match="initial chemical potential 0.003 outside the admissible window"):
+        assert run_flow(3e-3, 1e-6, 3, make_shape(0, 3, 9, 3), renormalize=False)[-1].stop == "stop_mu"
     # no block step on the first two tori; the last two are tori of L = 5, not of the trace's L = 3
     for shape in (make_shape(0, 3, 8, 3), make_shape(0, 3, 9, 2), make_shape(0, 5, 9, 3), make_shape(0, 5, 225, 15)):
         with pytest.raises(LatticeError):
@@ -608,13 +615,37 @@ def test_run_flow_records_regular_stop_and_guards_shape():
         run_flow(1e-5, 1e-5, 3, make_shape(0, 5, 225, 15))
 
 
+@pytest.mark.parametrize("mu0, v0, steps", [
+    (1e-5, 1e-5, 0), (1e-5, 1e-5, -1),                           # no row at all
+    (1e-5, 2.0, None), (1e-5, 0.0, None), (1e-5, -1e-5, None),   # no admissible scale
+    (1e-5, math.nan, None), (1e-5, math.inf, None),
+    (math.nan, 1e-5, None), (math.inf, 1e-5, None), (0.0, 1e-5, None), (-1e-5, 1e-5, None),
+])
+def test_run_flow_rejects_bad_inputs_before_any_row(monkeypatch, mu0, v0, steps):
+    def no_row(*args, **kwargs):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(flow, "flow_params_at", no_row)
+    for renormalize in (True, False):
+        with pytest.raises(LatticeError):
+            run_flow(mu0, v0, 3, make_shape(0, 3, 81, 9), steps=steps, renormalize=renormalize)
+
+
+@pytest.mark.parametrize("v0", [2.0, 0.0, -1e-5, math.nan, math.inf])
+def test_max_steps_and_flow_params_reject_a_coupling_outside_the_unit_interval(v0):
+    with pytest.raises(LatticeError, match=r"v0 must lie in \(0, 1\]"):
+        max_steps(v0, 3)
+    with pytest.raises(LatticeError, match=r"v0 must lie in \(0, 1\]"):
+        flow_params_at(0, 1e-5, v0, 3)
+
+
 def test_run_flow_row_count_and_ratios():
     trace = run_flow(1e-5, 1e-5, 3, make_shape(0, 3, 9, 3))
     assert len(trace) == 5
     for i in range(1, len(trace)):
         ratio = trace[i].params.mu / trace[i - 1].params.mu
         assert 0.9 * 9 <= ratio <= 1.1 * 9
-    assert all(st.classifier == "parabolic" for st in trace)
+    assert all(row.classifier == "parabolic" for row in trace)
 
 
 def test_run_flow_closed_form_geometry_ratios():
@@ -625,7 +656,8 @@ def test_run_flow_closed_form_geometry_ratios():
 
 
 def test_run_flow_stops_at_mu_threshold():
-    trace = run_flow(3e-3, 1e-6, 3, make_shape(0, 3, 9, 3), renormalize=False, stop_mu=0.5)
+    with pytest.warns(UserWarning, match="initial chemical potential 0.003 outside the admissible window"):
+        trace = run_flow(3e-3, 1e-6, 3, make_shape(0, 3, 9, 3), renormalize=False, stop_mu=0.5)
     # closed form: mu_n = 9^n * 3e-3 crosses 0.5 at n=3 (2.187); the trace
     # includes the crossing row and stops
     assert trace[-1].params.mu >= 0.5
