@@ -97,9 +97,12 @@ def _block_prefactor(n: int, L: int) -> float:
 
 def max_steps(v0: float, L: int) -> int:
     """Largest admissible scale index: floor((2/5) log(1/v0) / log L).  A
-    coupling v0 outside (0, 1], NaN included, raises :class:`LatticeError`."""
+    coupling v0 outside (0, 1], NaN included, or a block factor L that is
+    not an integer >= 2 raises :class:`LatticeError`."""
     if not 0.0 < v0 <= 1.0:
         raise LatticeError(f"initial coupling v0 must lie in (0, 1], got {v0}")
+    if not isinstance(L, (int, np.integer)) or L < 2:
+        raise LatticeError(f"block factor L must be an integer >= 2, got {L!r}")
     return int(math.floor(0.4 * math.log(1.0 / v0) / math.log(L)))
 
 
@@ -115,7 +118,8 @@ def flow_params_at(n: int, mu0: float, v0: float, L: int, eps: float = 0.01,
     mu_n = L^(2n) mu0 (or the supplied override from a renormalized trace),
     v_n = v0 / L^n, the block prefactor from its closed form, and the field
     radii L^(3n/4) v0^(-1/3+eps) and L^(3n/8) v0^(-1/3+eps).  Initial data
-    outside the admissible window only warns; v0 outside (0, 1] raises.
+    outside the admissible window only warns; v0 outside (0, 1], or L not an
+    integer >= 2, raises (:func:`max_steps`).
     """
     if n < 0:
         raise LatticeError("scale index must be nonnegative")

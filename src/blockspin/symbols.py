@@ -29,13 +29,17 @@ dense oracles evaluate pointwise on the (blocks, 4) array k +
 :func:`blockspin.torus.block_momenta`.
 
 The batched symbols (:func:`zero_field_symbol`, :func:`well_symbol`) run
-their kernel once per cube orbit of the momenta they are given: momenta
-with the same time component and the same spatial components up to signs
-and order.  This is exact up to round-off: the elementary symbols are even
-in each spatial component and symmetric under permuting the spatial axes,
-and with L odd the block momenta are closed under negation and the same on
-every spatial axis, so orbit mates have the same fiber entries in another
-order.  The 625 momenta of a :func:`small_k_fit` stencil are 50 orbits.
+their kernel once per orbit of the momenta they are given
+(:func:`blockspin.torus.momentum_orbits`): momenta with the same spatial
+components up to signs and order, and the same time component up to its
+sign.  This is exact up to round-off: the elementary symbols are even in
+each spatial component and symmetric under permuting the spatial axes, and
+with L odd the block momenta are closed under negation and the same on
+every spatial axis, so cube-orbit mates have the same fiber entries in
+another order.  Negating k0 conjugates the zero-field symbol at real mu and
+d (complex mu or d keeps k0's sign in the key) and negates the well
+symbol's off-diagonals at every mu.  The 625 momenta of a
+:func:`small_k_fit` stencil are 50 cube orbits and 30 orbits.
 
 Two time-derivative modes are supported:
 
@@ -58,7 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice_ops import SHARP, AveragingProfile, profile_axis_symbol
-from .torus import LatticeError, TorusShape, block_momenta, fiber_momenta, fiber_momenta_at, make_shape
+from .torus import (LatticeError, TorusShape, block_momenta, fiber_momenta, fiber_momenta_at, make_shape,
+                    momentum_orbits)
 
 __all__ = [
     "NumericalError",
@@ -136,12 +141,12 @@ def averaging_symbol(p, shape: TorusShape, profile: AveragingProfile = SHARP):
     p is four per-axis components or a (..., 4) array.
     """
     p = _components(p)
-    blens = (shape.mt, shape.mx, shape.mx, shape.mx)
-    spac = shape.spacings("fine")
-    space = np.ones(())
-    for axis in (1, 2, 3):
-        space = space * profile_axis_symbol(spac[axis] * p[axis], blens[axis], profile.exponent)
-    return space * profile_axis_symbol(spac[0] * p[0], blens[0], profile.exponent)
+    # the three spatial axes share a box length: one profile call on their angles
+    angles = [shape.eps_x * p[axis] for axis in (1, 2, 3)]
+    ends = np.cumsum([a.size for a in angles])
+    flat = profile_axis_symbol(np.concatenate([a.ravel() for a in angles]), shape.mx, profile.exponent)
+    q1, q2, q3 = (flat[end - a.size:end].reshape(a.shape) for a, end in zip(angles, ends))
+    return q1 * q2 * q3 * profile_axis_symbol(shape.eps_t * p[0], shape.mt, profile.exponent)
 
 
 def _spatial_stencil(p: tuple[np.ndarray, ...], eps_x: float) -> np.ndarray:
@@ -275,7 +280,7 @@ def fiber_resolvent(a: np.ndarray, u: np.ndarray, rhs: np.ndarray | None = None)
         inv_a = np.divide(1.0, a, dtype=complex)
     else:
         inv_a = np.divide(1.0, a, out=np.zeros(a.shape, dtype=complex), where=~pole)
-    sigma = _resummed(1.0 + np.einsum("...j,...j,...j->...", u, u, inv_a), has)  # no u^2 temporary
+    sigma = _resummed(1.0 + np.einsum("...j,...j->...", u * u, inv_a), has)
     if rhs is None:
         return sigma
     ux = sigma * np.einsum("...j,...j->...", u * rhs, inv_a)
@@ -300,21 +305,26 @@ def well_resolvent(D: np.ndarray, u: np.ndarray, w: np.ndarray | None = None):
     det = _det2(D)
     pole, has = _pole_rows(det, lambda: u)
     if pole is None:
-        pole, has = np.zeros(det.shape, dtype=bool), np.zeros(det.shape[:-1], dtype=bool)
-    g = np.divide(u, det, out=np.zeros(det.shape, dtype=complex), where=~pole)  # u_l / det D_l
+        g = u / det  # u_l / det D_l
+    else:
+        g = np.divide(u, det, out=np.zeros(det.shape, dtype=complex), where=~pole)
     R = _adj2(np.einsum("...j,...jab->...ab", u * g, D))  # sum u_l^2 adj(D_l) / det D_l
-    eye = np.eye(2)
-    Dj = np.where(has[..., None, None], np.einsum("...j,...jab->...ab", pole, D), eye)
-    M = Dj + np.einsum("...j,...j->...", pole, u * u)[..., None, None] * eye + Dj @ R
+    M = np.eye(2) + R
+    if pole is not None:  # on a pole row M = D_j + u_j^2 I + D_j R, and W = M^(-1) D_j
+        Dj = D[pole]  # the pole entry of each row in has, in row order
+        M[has] = Dj + (u[pole] ** 2)[:, None, None] * np.eye(2) + Dj @ R[has]
     # |det M| this far below |M|^2 leaves the closed-form inverse as round-off
     scale = np.max(np.abs(M), axis=(-2, -1)) ** 2
     _raise_at(np.abs(_det2(M)) < _SINGULAR * np.maximum(scale, 1.0), "the resummation factor vanishes")
-    W = _inv2(M) @ Dj
+    W = _inv2(M)
+    if pole is not None:
+        W[has] = W[has] @ Dj
     if w is None:
         return W
     y = np.einsum("...ab,...b->...a", W, w)
     c = g[..., None] * np.einsum("...jab,...b->...ja", _adj2(D), y)
-    c[pole] = (w - y - np.einsum("...ab,...b->...a", R, y))[has] / u[pole][:, None]
+    if pole is not None:
+        c[pole] = (w - y - np.einsum("...ab,...b->...a", R, y))[has] / u[pole][:, None]
     return W, c
 
 
@@ -349,37 +359,21 @@ def _row_batches(count: int, row_entries: int, rows, name=lambda flat: (flat,)) 
     return np.concatenate(parts)
 
 
-def _orbits(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cube orbits of the momenta ``flat`` (n, 4), all finite.
+def _in_batches(k, shape: TorusShape, rows, reflect=None):
+    """rows(kb) over batches kb (n, 4) of the first momentum of each orbit
+    (:func:`blockspin.torus.momentum_orbits`) of the momenta k (..., 4), in
+    the order of k, scattered back to k's shape.
 
-    Two momenta share an orbit when their time components are equal and
-    their spatial components are equal up to signs and order: the key is
-    (k0, sorted(|k1|, |k2|, |k3|)), deduplicated on a bytes view of its rows.
-    Returns (first, inverse): the index in ``flat`` of each orbit's first
-    member, increasing, and for each momentum the position of its orbit in
-    ``first``.
-    """
-    key = np.empty(flat.shape)
-    key[:, 0] = flat[:, 0] + 0.0  # -0.0 keys as 0.0
-    key[:, 1:] = np.sort(np.abs(flat[:, 1:]), axis=1)
-    rows = key.view(np.dtype((np.void, 4 * key.itemsize))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse]
-
-
-def _in_batches(k, shape: TorusShape, rows):
-    """rows(kb) over batches kb (n, 4) of the first momentum of each cube
-    orbit (:func:`_orbits`) of the momenta k (..., 4), in the order of k,
-    scattered back to k's shape.
-
-    Exact up to round-off: the kernel inputs are even in each spatial
-    component and symmetric under permuting the spatial axes, and the block
-    momenta (L odd) are closed under negation and the same on every spatial
-    axis, so orbit mates hold the same fiber entries in another order.  A
-    :class:`NumericalError` names the representative's index in k, the
-    first index in k of a singular orbit; a non-finite momentum raises
-    :class:`LatticeError` naming the first.
+    The orbits are cube orbits, and with a ``reflect`` map also fold
+    k0 -> -k0: a mate whose k0 has the opposite sign to its
+    representative's gets reflect(value).  Exact up to round-off: the kernel
+    inputs are even in each spatial component and symmetric under permuting
+    the spatial axes, and the block momenta (L odd) are closed under
+    negation and the same on every spatial axis, so cube-orbit mates hold
+    the same fiber entries in another order; ``reflect`` must map a row's
+    value to the value with k0 negated.  A :class:`NumericalError` names the
+    representative's index in k, the first index in k of a singular orbit;
+    a non-finite momentum raises :class:`LatticeError` naming the first.
     """
     k = _as_k_array(k)
     flat = k.reshape(-1, 4)
@@ -388,14 +382,16 @@ def _in_batches(k, shape: TorusShape, rows):
     def name(flat_index):
         return tuple(int(i) for i in np.unravel_index(flat_index, index_shape))
 
-    bad = ~np.isfinite(flat).all(axis=1)
-    if bad.any():
-        first_bad = int(np.argmax(bad))
+    finite = np.isfinite(flat)
+    if not finite.all():
+        first_bad = int(np.argmin(finite.all(axis=1)))
         raise LatticeError(f"momentum {name(first_bad)} is not finite: {flat[first_bad]}")
-    first, inverse = _orbits(flat)
+    first, inverse, flipped = momentum_orbits(flat, reflect is not None)
     reps = flat[first]
-    out = _row_batches(len(reps), shape.mt * shape.mx**3, lambda s: rows(reps[s]), lambda r: name(first[r]))
-    return out[inverse].reshape(k.shape[:-1] + out.shape[1:])
+    out = _row_batches(len(reps), shape.mt * shape.mx**3, lambda s: rows(reps[s]), lambda r: name(first[r]))[inverse]
+    if flipped.any():
+        out[flipped] = reflect(out[flipped])
+    return out.reshape(k.shape[:-1] + out.shape[1:])
 
 
 def _fiber_terms(p, mu, d, shape, mode, profile):
@@ -412,16 +408,19 @@ def zero_field_symbol(k, mu, d, shape: TorusShape, mode: str = "discrete", profi
     vanishes with nonzero averaging weight the limit value 0 is exact; any
     other vanishing combination means the subtraction point sits in the
     operator's spectrum and raises :class:`NumericalError`.  The kernel runs
-    once per cube orbit of k (see :func:`_in_batches`): orbit mates get the
-    value of the orbit's first momentum, which differs from their own only
-    at round-off.
+    once per orbit of k (see :func:`_in_batches`): orbit mates get the value
+    of the orbit's first momentum, conjugated where their k0 has the other
+    sign, which differs from their own only at round-off.  The orbits fold
+    k0 -> -k0 only for real mu and d: then heat(-p0, pvec) is the conjugate
+    of heat(p0, pvec), u is even in p0, and Z(-k0) = conj Z(k0).  Complex mu
+    or d runs one row per cube orbit.
     """
     def rows(kb):
         a, u = _fiber_terms(fiber_momenta_at(kb, shape), mu, d, shape, mode, profile)
         fibers = (len(kb), shape.mt * shape.mx**3)
         return fiber_resolvent(a.reshape(fibers), u.reshape(fibers))
 
-    sigma = _in_batches(k, shape, rows)
+    sigma = _in_batches(k, shape, rows, np.conj if np.isreal(mu) and np.isreal(d) else None)
     return sigma if sigma.ndim else complex(sigma)
 
 
@@ -472,7 +471,7 @@ def delta_identity_check(k, shape: TorusShape, d: float = 1.0, mode: str = "disc
 # 2x2 well operator
 # ---------------------------------------------------------------------------
 
-def well_matrix(p, mu, d, shape: TorusShape, mode: str = "continuum"):
+def well_matrix(p, mu, d, shape: TorusShape, mode: str = "discrete"):
     """2x2 symbol coupling radial/tangential components around the well.
 
     continuum: [[2mu + |pvec|^2, d*p0], [-d*p0, |pvec|^2]].
@@ -499,7 +498,7 @@ def well_matrix(p, mu, d, shape: TorusShape, mode: str = "continuum"):
     return out
 
 
-def well_symbol(k, mu, d, shape: TorusShape, mode: str = "continuum",
+def well_symbol(k, mu, d, shape: TorusShape, mode: str = "discrete",
                 profile: AveragingProfile = SHARP):
     """Unit-lattice 2x2 symbol of the effective quadratic kernel around the well.
 
@@ -509,19 +508,23 @@ def well_symbol(k, mu, d, shape: TorusShape, mode: str = "continuum",
     (..., 4); returns (..., 2, 2).  The vanishing of the bare well matrix at
     p = 0 is absorbed by the reformulation
     (I + u0^2 D^-1 + R)^(-1) = (D + u0^2 I + D R)^(-1) D.  As for
-    :func:`zero_field_symbol`, the kernel runs once per cube orbit of k:
-    the well matrix depends on the spatial momentum only through the even,
-    axis-symmetric spatial stencil.
+    :func:`zero_field_symbol`, the kernel runs once per orbit of k, folding
+    k0 -> -k0 for every mu and d: the well matrix depends on the spatial
+    momentum only through the even, axis-symmetric spatial stencil, and its
+    off-diagonals are odd in p0 and its diagonal even, so with
+    P = diag(1, -1) wellmatrix(-p0) = P wellmatrix(p0) P and
+    W(-k0) = P W(k0) P: the mates with the other sign of k0 get W with its
+    off-diagonals negated.
     """
     def rows(kb):
         p = fiber_momenta_at(kb, shape)
         u = averaging_symbol(p, shape, profile).reshape(len(kb), shape.mt * shape.mx**3)
         return well_resolvent(well_matrix(p, mu, d, shape, mode).reshape(u.shape + (2, 2)), u)
 
-    return _in_batches(k, shape, rows)
+    return _in_batches(k, shape, rows, lambda W: W * [[1.0, -1.0], [-1.0, 1.0]])
 
 
-def well_fiber_dense(k, mu, d, shape: TorusShape, mode: str = "continuum", profile: AveragingProfile = SHARP):
+def well_fiber_dense(k, mu, d, shape: TorusShape, mode: str = "discrete", profile: AveragingProfile = SHARP):
     """Oracle: dense coupled-fiber matrix of the full well operator and its
     averaged inverse.
 
@@ -571,8 +574,7 @@ def fit_window_momenta(window: float) -> np.ndarray:
     if not np.isfinite(window):
         raise LatticeError(f"fit window must be finite, got {window}")
     vals = np.array([-window, -window / 2, 0.0, window / 2, window])
-    grids = np.meshgrid(vals, vals, vals, vals, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return vals[np.indices((5, 5, 5, 5)).reshape(4, -1).T]
 
 
 def small_k_fit(symbol, window: float) -> SmallKFit:
@@ -643,7 +645,7 @@ def _envelope(e00, e01, e10, e11) -> np.ndarray:
     return np.stack(np.broadcast_arrays(e00, e01, e10, e11), axis=-1).reshape(-1, 2, 2)
 
 
-def momentum_bound_report(shape: TorusShape, mu: float, d: float, mode: str = "continuum",
+def momentum_bound_report(shape: TorusShape, mu: float, d: float, mode: str = "discrete",
                           profile: AveragingProfile = SHARP, rng: np.random.Generator | None = None) -> dict:
     """Max entrywise ratios of the 2x2 matrix symbols against their expected
     (d, mu, |k|) scaling envelopes.

@@ -416,3 +416,37 @@ def block_momenta(shape: TorusShape) -> np.ndarray:
     """The L^(5n) block momenta in radians (symmetric representatives),
     row-major over block indices."""
     return 2.0 * np.pi * fft_mode_grid((shape.mt, shape.mx, shape.mx, shape.mx)).reshape(-1, 4)
+
+
+def momentum_orbits(k, fold_time: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orbits of the momenta k (n, 4) under sign flips and permutations
+    of the spatial components, and with ``fold_time`` also k0 -> -k0.
+
+    Momenta share an orbit when their keys (k0, or |k0| when folding, then
+    |k1|, |k2|, |k3| sorted) are equal.  Returns (first, inverse, flipped):
+    the index in k of each orbit's first member, increasing; for each
+    momentum the position of its orbit in ``first``; and for each momentum
+    whether its k0 has the opposite sign to its representative's (never
+    without ``fold_time``).
+    """
+    k = np.asarray(k, dtype=float)
+    if k.ndim != 2 or k.shape[1] != 4:
+        raise LatticeError(f"momenta must be an (n, 4) array, got shape {k.shape}")
+    t = np.abs(k[:, 0]) if fold_time else k[:, 0] + 0.0  # -0.0 keys as 0.0
+    # sort |k1|, |k2|, |k3| per momentum by a three-comparator network
+    a, b, c = np.abs(k[:, 1:]).T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    mid, hi = np.minimum(hi, c), np.maximum(hi, c)
+    lo, mid = np.minimum(lo, mid), np.maximum(lo, mid)
+    order = np.lexsort((hi, mid, lo, t))  # stable: each orbit's first member leads its run
+    new = np.zeros(len(k), dtype=bool)
+    new[:1] = True
+    for key in (t, lo, mid, hi):
+        run = key[order]
+        new[1:] |= run[1:] != run[:-1]
+    first = order[new]
+    by_first = np.argsort(first)
+    inverse = np.empty(len(k), dtype=np.intp)
+    inverse[order] = np.argsort(by_first)[np.cumsum(new) - 1]
+    first = first[by_first]
+    return first, inverse, k[:, 0] * k[first[inverse], 0] < 0.0

@@ -58,3 +58,34 @@ def test_no_public_function_takes_fields_and_their_shape():
     # a Field carries its torus; a second one given beside it can disagree
     both = {name for name, node, _ in _public_functions() if _takes_fields_and_shape(node)}
     assert both == SHAPE_BESIDE_FIELDS_ALLOWED
+
+
+def _module_functions():
+    """(module.function, node) of every module-level function and method in
+    the package, private ones included."""
+    for info in pkgutil.iter_modules(blockspin.__path__):
+        tree = ast.parse(Path(blockspin.__path__[0], f"{info.name}.py").read_text())
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for item in members:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{info.name}.{item.name}", item
+
+
+def test_torus_holds_the_one_orbit_reduction():
+    # momenta are keyed into orbits in one place, torus.momentum_orbits; the
+    # time-plus-space step's np.unique runs over a space symbol's values, not momenta
+    sorting = {name for name, node in _module_functions() for n in ast.walk(node)
+               if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in ("unique", "lexsort")}
+    assert sorting == {"torus.momentum_orbits", "flow._time_plus_space_rows"}
+
+
+def test_every_mode_defaults_to_discrete():
+    # a well symbol and a well solve called with defaults use the same operator
+    defaults = {}
+    for name, node, _ in _public_functions():
+        args = node.args.posonlyargs + node.args.args
+        for arg, default in zip(args[len(args) - len(node.args.defaults):], node.args.defaults):
+            if arg.arg == "mode":
+                defaults[name] = ast.literal_eval(default)
+    assert len(defaults) >= 8 and set(defaults.values()) == {"discrete"}

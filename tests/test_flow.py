@@ -639,6 +639,15 @@ def test_max_steps_and_flow_params_reject_a_coupling_outside_the_unit_interval(v
         flow_params_at(0, 1e-5, v0, 3)
 
 
+@pytest.mark.parametrize("L", [0, 1, -3, 3.0, 2.5])
+def test_max_steps_and_flow_params_reject_a_bad_block_factor(L):
+    # L = 1 used to divide by log 1 = 0, and L = 0 to take log 0
+    with pytest.raises(LatticeError, match=r"block factor L must be an integer >= 2"):
+        max_steps(1e-5, L)
+    with pytest.raises(LatticeError, match=r"block factor L must be an integer >= 2"):
+        flow_params_at(0, 1e-5, 1e-5, L)
+
+
 def test_run_flow_row_count_and_ratios():
     trace = run_flow(1e-5, 1e-5, 3, make_shape(0, 3, 9, 3))
     assert len(trace) == 5

@@ -105,6 +105,29 @@ def test_cube_orbit_mates_share_their_symbols(dims, mu, mode, profile, window, s
         _close(alone, together)
 
 
+@settings(max_examples=8)
+@given(st.sampled_from([(1, 3), (3, 3), (3, 1)]),
+       st.one_of(st.floats(0.0, 0.9), st.builds(complex, st.floats(0.0, 0.9), st.floats(-0.5, 0.5))),
+       modes, profiles, st.floats(0.01, 1.0), st.integers(0, 2**16))
+@example((3, 1), 0.4 + 0.3j, "discrete", SHARP, 0.5, 0)  # complex mu: the zero-field symbol must not fold
+@example((1, 3), 0.0, "continuum", SMOOTH, 1.0, 1)
+def test_time_reflected_orbit_mates_match_dense(dims, mu, mode, profile, window, seed):
+    # at real mu the orbits also fold k0 -> -k0 (conjugate zero-field symbol,
+    # well symbol with negated off-diagonals), the well's at every mu: mates
+    # from sign flips, permutations and a negated k0 must match their own fibers
+    s = make_shape(1, 3, *dims)
+    rng = np.random.default_rng(seed)
+    stencil = symbols.fit_window_momenta(window)
+    base = np.vstack([_unit_momenta(s, seed, 1)[1:], stencil[rng.choice(len(stencil), 2, replace=False)]])
+    reflected = _orbit_mates(base, rng)
+    reflected[:, 0] *= -1.0
+    k = np.vstack([base, _orbit_mates(base, rng), reflected])
+    _close(zero_field_symbol(k, mu, 1.0, s, mode, profile),
+           np.array([zero_field_symbol_dense(kk, mu, 1.0, s, mode, profile) for kk in k]))
+    _close(well_symbol(k, mu, 1.0, s, mode, profile),
+           np.array([well_fiber_dense(kk, mu, 1.0, s, mode, profile)[1] for kk in k]))
+
+
 @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**16))
 def test_fiber_resolvent_matches_dense_solve(rows, blocks, seed):
     rng = np.random.default_rng(seed)

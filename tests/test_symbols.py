@@ -329,10 +329,10 @@ def test_scalar_symbol_conjugation_symmetry():
 
 def test_momentum_bound_report_finite_and_feedback_offdiagonal_zero():
     s = make_shape(1, 3, 2, 2)
-    rep = momentum_bound_report(s, mu=0.5 * 4.0, d=2.0, rng=np.random.default_rng(7))
+    rep = momentum_bound_report(s, mu=0.5 * 4.0, d=2.0, mode="continuum", rng=np.random.default_rng(7))
     for part in "abcd":
         assert np.isfinite(rep[part])
-    W0 = well_symbol(np.zeros(4), 2.0, 2.0, s)
+    W0 = well_symbol(np.zeros(4), 2.0, 2.0, s, "continuum")
     assert abs(W0[0, 1]) < 1e-14
 
 
@@ -342,7 +342,7 @@ def test_momentum_bound_report_stable_under_doubling():
     ratio = 0.5
     prev = None
     for d in (8.0, 16.0, 32.0, 64.0):
-        rep = momentum_bound_report(s, mu=ratio * d * d, d=d, rng=np.random.default_rng(8))
+        rep = momentum_bound_report(s, mu=ratio * d * d, d=d, mode="continuum", rng=np.random.default_rng(8))
         if prev is not None:
             for part in "abcd":
                 lo, hi = sorted((rep[part], prev[part]))
@@ -362,7 +362,8 @@ _BOUND_REPORTS = {
 
 @pytest.mark.parametrize("seed, d", sorted(_BOUND_REPORTS))
 def test_momentum_bound_report_pinned_values(seed, d):
-    rep = momentum_bound_report(make_shape(1, 3, 2, 2), mu=0.5 * d * d, d=d, rng=np.random.default_rng(seed))
+    rep = momentum_bound_report(make_shape(1, 3, 2, 2), mu=0.5 * d * d, d=d, mode="continuum",
+                                rng=np.random.default_rng(seed))
     assert list(rep) == ["a", "b", "c", "d"]
     assert rep == _BOUND_REPORTS[seed, d]
 
@@ -505,16 +506,45 @@ def test_a_singular_orbit_is_named_at_its_first_index():
 
 
 def test_symbols_run_their_kernel_once_per_cube_orbit(monkeypatch):
-    # the 625 stencil momenta of a fit fall into 5 x 10 orbits; the 243 unit
-    # momenta of (1,3,9,3) into 9 time components x 4 spatial orbits
+    # the 625 stencil momenta of a fit fall into 5 x 10 cube orbits, and into
+    # 3 x 10 once k0 -> -k0 folds them; the 243 unit momenta of (1,3,9,3) into
+    # 9 time components x 4 spatial orbits, and 5 x 4 folded.  The zero-field
+    # symbol folds only at real mu; the well symbol folds at every mu
     rows = {"fiber_resolvent": 0, "well_resolvent": 0}
     for name in rows:
         def counted(a, u, *rest, kernel=getattr(symbols, name), name=name):
             rows[name] += len(a)
             return kernel(a, u, *rest)
         monkeypatch.setattr(symbols, name, counted)
-    small_k_fit(lambda q: zero_field_symbol(q, 0.3, 1.0, make_shape(1, 3, 1, 1)), 0.1)
-    assert rows == {"fiber_resolvent": 50, "well_resolvent": 0}
+    s = make_shape(1, 3, 1, 1)
+    small_k_fit(lambda q: zero_field_symbol(q, 0.3, 1.0, s), 0.1)
+    assert rows == {"fiber_resolvent": 30, "well_resolvent": 0}
+    small_k_fit(lambda q: zero_field_symbol(q, 0.3 + 0.2j, 1.0, s), 0.1)
+    assert rows == {"fiber_resolvent": 80, "well_resolvent": 0}
     s = make_shape(1, 3, 9, 3)
-    well_symbol(radians_for_modes(s, dual_modes(s, "unit")), 0.3, 1.0, s, "discrete")
-    assert rows == {"fiber_resolvent": 50, "well_resolvent": 36}
+    k = radians_for_modes(s, dual_modes(s, "unit"))
+    well_symbol(k, 0.3, 1.0, s, "discrete")
+    assert rows == {"fiber_resolvent": 80, "well_resolvent": 20}
+    well_symbol(k, 0.3 + 0.2j, 1.0, s, "discrete")
+    assert rows == {"fiber_resolvent": 80, "well_resolvent": 40}
+
+
+def test_a_time_reflected_singular_orbit_is_named_at_its_first_index():
+    # at k0 = 2 pi the fiber's time block p0 = 0 has a real heat symbol, so a
+    # real mu held twice there is two poles; the mate with k0 = -2 pi (spatial
+    # axes swapped, one sign flipped) holds the conjugate entries
+    s = make_shape(1, 3, 1, 3)
+    pole = np.array([2.0 * np.pi, 2.0 * np.pi / 3.0, 0.0, 0.0])
+    mate = np.array([-2.0 * np.pi, 0.0, -2.0 * np.pi / 3.0, 0.0])
+    held_twice = []
+    for k in (pole, mate):
+        a = heat_symbol(fiber_momenta_at(k, s), s).reshape(-1)
+        values, counts = np.unique(a[a.imag == 0].real, return_counts=True)
+        held_twice.append(set(values[counts > 1]))
+    mu = float(min(set.intersection(*held_twice)))
+    generic = np.random.default_rng(3).uniform(0.3, 1.3, (2, 4))
+    for k, where in ((np.stack([generic[0], mate, pole, generic[1]]), (1,)),
+                     (np.stack([pole, mate, generic[0], generic[1]]).reshape(2, 2, 4), (0, 0))):
+        with pytest.raises(NumericalError, match="fiber row") as err:
+            zero_field_symbol(k, mu, 1.0, s)
+        assert err.value.row == where
