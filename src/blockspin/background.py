@@ -52,6 +52,7 @@ from .torus import (
     FieldPair,
     LatticeError,
     TorusShape,
+    _is_integer,
     common_torus,
     fiber_merge,
     fiber_momenta,
@@ -66,6 +67,7 @@ __all__ = [
     "solve_constant",
     "solve_linear",
     "solve_well_linear",
+    "apply_well_operator",
     "solve_nonlinear",
     "nonlinear_residuals",
 ]
@@ -384,7 +386,13 @@ def solve_nonlinear(psi_pair: FieldPair, params: ModelParams, shape: TorusShape,
     Jacobian, assembled from one fiber-operator matrix; larger ones run a
     matrix-free GMRES solve preconditioned by the constant-coefficient fiber
     inverse.  Non-convergence returns the best iterate with converged=False.
+    ``max_iter`` must be an integer >= 1 and ``tol`` finite and > 0, or
+    :class:`LatticeError` is raised.
     """
+    if not _is_integer(max_iter) or max_iter < 1:
+        raise LatticeError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise LatticeError(f"tol must be finite and > 0, got {tol!r}")
     if field_radius is not None:
         amp = max(float(np.max(np.abs(psi_pair.plain.values))), float(np.max(np.abs(psi_pair.starred.values))))
         if amp > field_radius:
@@ -404,9 +412,9 @@ def solve_nonlinear(psi_pair: FieldPair, params: ModelParams, shape: TorusShape,
         return float(np.max(np.abs(rs))), float(np.max(np.abs(rp)))
 
     best = None
+    res_star, res_plain = nonlinear_residuals(psi_pair, phi_star, phi, params, shape, profile, rhs=psi_rhs)
+    ns, npl = res_norms(res_star, res_plain)
     for iteration in range(1, max_iter + 1):
-        res_star, res_plain = nonlinear_residuals(psi_pair, phi_star, phi, params, shape, profile, rhs=psi_rhs)
-        ns, npl = res_norms(res_star, res_plain)
         if best is None or max(ns, npl) < best[0]:
             best = (max(ns, npl), phi_star.copy(), phi.copy(), (ns, npl), iteration)
         if ns <= tol and npl <= tol:
@@ -436,18 +444,16 @@ def solve_nonlinear(psi_pair: FieldPair, params: ModelParams, shape: TorusShape,
             d_star = delta[n:].reshape(shape.fine_extents)
         else:
             d_plain, d_star = _gmres_newton_step(fiber, params, phi_star, phi, res_star, res_plain, max(ns, npl))
-        # damping: halve the step while the residual grows
-        step = 1.0
+        # damping: try steps 1, 1/2, ..., 2^-12 and take the first that lowers
+        # the residual, else the last; its residual starts the next iteration
         base = max(ns, npl)
-        for _ in range(12):
-            cand_star = phi_star + step * d_star
-            cand = phi + step * d_plain
-            rs, rp = nonlinear_residuals(psi_pair, cand_star, cand, params, shape, profile, rhs=psi_rhs)
-            if max(*res_norms(rs, rp)) < base or base <= tol:
+        for step in (0.5**i for i in range(13)):
+            cand_star, cand = phi_star + step * d_star, phi + step * d_plain
+            res_star, res_plain = nonlinear_residuals(psi_pair, cand_star, cand, params, shape, profile, rhs=psi_rhs)
+            ns, npl = res_norms(res_star, res_plain)
+            if max(ns, npl) < base:
                 break
-            step *= 0.5
-        phi_star = phi_star + step * d_star
-        phi = phi + step * d_plain
+        phi_star, phi = cand_star, cand
     _, bs, bp, bres, bit = best
     return BackgroundSolution(
         phi_star=Field(shape, "fine", bs),

@@ -43,8 +43,8 @@ import numpy as np
 
 from .action import well_geometry
 from .lattice_ops import SHARP, AveragingProfile, block_average_adjoint, operator_matrix, profile_axis_symbol
-from .symbols import _POLE, _SINGULAR, NumericalError, _pole_rows, _resummed, _row_batches
-from .torus import Field, LatticeError, TorusShape, fiber_momenta, make_shape, negate_modes
+from .symbols import _POLE, _SINGULAR, NumericalError, _check_couplings, _pole_rows, _resummed, _row_batches
+from .torus import Field, LatticeError, TorusShape, _is_integer, fiber_momenta, make_shape, negate_modes
 
 __all__ = [
     "FlowParams",
@@ -57,6 +57,7 @@ __all__ = [
     "block_spin_step_dense",
     "localize_quadratic",
     "apply_offset_kernel",
+    "quadratic_action_form",
     "quadratic_mass_correction",
     "renormalize_mu",
     "run_flow",
@@ -101,7 +102,7 @@ def max_steps(v0: float, L: int) -> int:
     not an integer >= 2 raises :class:`LatticeError`."""
     if not 0.0 < v0 <= 1.0:
         raise LatticeError(f"initial coupling v0 must lie in (0, 1], got {v0}")
-    if not isinstance(L, (int, np.integer)) or L < 2:
+    if not _is_integer(L) or L < 2:
         raise LatticeError(f"block factor L must be an integer >= 2, got {L!r}")
     return int(math.floor(0.4 * math.log(1.0 / v0) / math.log(L)))
 
@@ -196,6 +197,7 @@ class QuadraticAction:
         time-plus-space path on the pair, and only :attr:`symbol_grid` forms
         their sum whole.
         """
+        _check_couplings(mu, d)
         Nt, Nx, Ny, Nz = extents
         lap = {N: 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(N) / N) for N in {Nx, Ny, Nz}}
         space = -mu + lap[Nx].reshape(-1, 1, 1) + lap[Ny].reshape(-1, 1) + lap[Nz]

@@ -6,9 +6,11 @@ and weights each entry by exp(m * tau) where tau is the minimal Steiner-tree
 length connecting the entry's argument sites in the periodic lattice graph
 (nearest-neighbor edges of length 1 on every axis).
 
-Steiner lengths are exact via Dreyfus-Wagner dynamic programming over
-terminal subsets; a minimum-spanning-tree upper bound is available as a fast
-alternative.
+Steiner lengths are exact, by Dreyfus-Wagner dynamic programming over
+terminal subsets.  One relaxation serves the whole dynamic program: the per-axis
+min-plus pass that extends a table of partial trees by one shortest path
+also gives each terminal's distance table, from a seed that is 0 at the
+terminal and unreached elsewhere.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "torus_distance",
     "steiner_tree_length",
     "kernel_norm",
+    "KernelFormatError",
 ]
 
 STEINER_TERMINAL_CAP = 6
@@ -76,25 +79,6 @@ def torus_distance(a, b, extents) -> int:
     return total
 
 
-def _site_index(site, extents) -> int:
-    idx = 0
-    for c, N in zip(site, extents):
-        idx = idx * int(N) + (int(c) % int(N))
-    return idx
-
-
-def _all_distances_from(site, extents) -> np.ndarray:
-    """Vector of graph distances from one site to every site (row-major)."""
-    per_axis = []
-    for c, N in zip(site, extents):
-        d = np.abs(np.arange(N) - (int(c) % N))
-        per_axis.append(np.minimum(d, N - d))
-    acc = per_axis[0]
-    for nxt in per_axis[1:]:
-        acc = (acc[:, None] + nxt[None, :]).reshape(-1)
-    return acc
-
-
 def _min_plus(seed: np.ndarray, extents) -> np.ndarray:
     """relax[v] = min_u seed[u] + dist(u, v), computed axis by axis.
 
@@ -113,42 +97,30 @@ def _min_plus(seed: np.ndarray, extents) -> np.ndarray:
     return arr.reshape(-1)
 
 
-def steiner_tree_length(points, extents, method: str = "exact") -> float:
+def steiner_tree_length(points, extents) -> float:
     """Minimal length of a lattice tree containing all the given sites.
 
-    method="exact": Dreyfus-Wagner dynamic programming (terminals capped at
-    6).  method="mst": minimum spanning tree in the metric closure, an upper
-    bound.
+    Exact, by Dreyfus-Wagner dynamic programming over terminal subsets
+    (terminals capped at 6).
     """
-    pts = []
-    seen = set()
-    for p in points:
-        q = _normalize_site(tuple(p), extents)
-        if q not in seen:
-            seen.add(q)
-            pts.append(q)
+    pts = list(dict.fromkeys(_normalize_site(tuple(p), extents) for p in points))  # distinct, in order
     t = len(pts)
     if t <= 1:
         return 0.0
     if t == 2:
         return float(torus_distance(pts[0], pts[1], extents))
-    if method == "mst":
-        return _mst_length(pts, extents)
-    if method != "exact":
-        raise ValueError(f"unknown method {method!r}")
     if t > STEINER_TERMINAL_CAP:
         raise ValueError(f"exact Steiner computation capped at {STEINER_TERMINAL_CAP} terminals, got {t}")
 
     n_sites = int(np.prod(extents))
+    unreached = np.iinfo(np.int64).max // 4
     # T[mask] = per-site vector: optimal tree containing terminals in mask plus that site
     tables: dict[int, np.ndarray] = {}
-    for i, p in enumerate(pts):
-        tables[1 << i] = _all_distances_from(p, extents).astype(np.int64)
     full = (1 << t) - 1
     for mask in sorted(range(1, full + 1), key=lambda m: bin(m).count("1")):
-        if mask in tables:
-            continue
-        best = np.full(n_sites, np.iinfo(np.int64).max // 4, dtype=np.int64)
+        best = np.full(n_sites, unreached, dtype=np.int64)
+        if mask & (mask - 1) == 0:  # one terminal: relaxing a one-hot seed gives its distances
+            best[np.ravel_multi_index(pts[mask.bit_length() - 1], extents)] = 0
         sub = (mask - 1) & mask
         while sub > 0:
             other = mask ^ sub
@@ -156,25 +128,7 @@ def steiner_tree_length(points, extents, method: str = "exact") -> float:
                 np.minimum(best, tables[sub] + tables[other], out=best)
             sub = (sub - 1) & mask
         tables[mask] = _min_plus(best, extents)
-    return float(tables[full][_site_index(pts[0], extents)])
-
-
-def _mst_length(pts, extents) -> float:
-    t = len(pts)
-    dist = np.zeros((t, t))
-    for i in range(t):
-        for j in range(i + 1, t):
-            dist[i, j] = dist[j, i] = torus_distance(pts[i], pts[j], extents)
-    in_tree = [0]
-    total = 0.0
-    best = dist[0].copy()
-    while len(in_tree) < t:
-        best[in_tree] = np.inf
-        j = int(np.argmin(best))
-        total += best[j]
-        in_tree.append(j)
-        best = np.minimum(best, dist[j])
-    return float(total)
+    return float(tables[full][np.ravel_multi_index(pts[0], extents)])
 
 
 # ---------------------------------------------------------------------------

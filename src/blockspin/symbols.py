@@ -105,6 +105,13 @@ def _check_mode(mode: str) -> None:
         raise LatticeError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def _check_couplings(mu, d) -> None:
+    """Raise :class:`LatticeError` unless mu and d are finite; complex values are allowed."""
+    for name, value in (("mu", mu), ("d", d)):
+        if not np.isfinite(value):
+            raise LatticeError(f"{name} must be finite, got {value}")
+
+
 def _as_k_array(k) -> np.ndarray:
     arr = np.asarray(k, dtype=float)
     if arr.shape[-1:] != (4,):
@@ -415,6 +422,8 @@ def zero_field_symbol(k, mu, d, shape: TorusShape, mode: str = "discrete", profi
     of heat(p0, pvec), u is even in p0, and Z(-k0) = conj Z(k0).  Complex mu
     or d runs one row per cube orbit.
     """
+    _check_couplings(mu, d)
+
     def rows(kb):
         a, u = _fiber_terms(fiber_momenta_at(kb, shape), mu, d, shape, mode, profile)
         fibers = (len(kb), shape.mt * shape.mx**3)
@@ -516,6 +525,8 @@ def well_symbol(k, mu, d, shape: TorusShape, mode: str = "discrete",
     W(-k0) = P W(k0) P: the mates with the other sign of k0 get W with its
     off-diagonals negated.
     """
+    _check_couplings(mu, d)
+
     def rows(kb):
         p = fiber_momenta_at(kb, shape)
         u = averaging_symbol(p, shape, profile).reshape(len(kb), shape.mt * shape.mx**3)

@@ -16,10 +16,14 @@ row i (the unit index, in [0, N)) and column j (the block index) of the
 (unit sites, blocks) fiber array of :func:`fiber_split`; its momentum is the
 symmetric fine representative of m.
 
-Momenta are passed as four per-axis components that broadcast together
-(:func:`fiber_momenta`, :func:`fiber_momenta_at`, :func:`fine_momenta`),
-never as a stacked (..., blocks, 4) array: every fiber symbol is a product
-or sum of one-dimensional factors, each evaluated once per distinct angle.
+Momenta come in two formats.  The solvers, the block-spin step and the
+kernels of the batched symbols pass four per-axis components that broadcast
+together (:func:`fiber_momenta`, :func:`fiber_momenta_at`,
+:func:`fine_momenta`), so each one-dimensional factor of a fiber symbol is
+evaluated once per distinct angle.  The unit-lattice symbols take stacked
+(..., 4) arrays, one row per unit momentum, as does :func:`momentum_orbits`;
+the dense symbol oracles add the (blocks, 4) array of :func:`block_momenta`
+to a single unit momentum and evaluate pointwise.
 """
 
 from __future__ import annotations
@@ -33,11 +37,14 @@ import numpy as np
 #: work never materializes fine fields and is not subject to the cap.
 FINE_SITE_CAP = 1_200_000
 
-LEVELS = ("unit", "fine", "coarse")
-
 
 class LatticeError(ValueError):
     """Invalid geometry, level mismatch, or divisibility violation."""
+
+
+def _is_integer(value) -> bool:
+    """A Python or NumPy integer; a bool is not one."""
+    return type(value) is int or isinstance(value, np.integer)
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,12 @@ class TorusShape:
     Nx: int
 
     def __post_init__(self):
+        for name in ("n", "L", "Nt", "Nx"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                if not _is_integer(value):
+                    raise LatticeError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))  # L^(2n) in NumPy integers would wrap
         if self.L % 2 == 0 or self.L < 3:
             raise LatticeError(f"block factor L must be odd and >= 3, got {self.L}")
         if self.n < 0:
@@ -153,16 +166,6 @@ def _symmetric_range(N: int) -> np.ndarray:
     """Mode numbers in the symmetric window (-N/2, N/2]."""
     m = np.arange(N)
     return np.where(m > N // 2, m - N, m)
-
-
-def dual_modes(shape: TorusShape, level: str) -> np.ndarray:
-    """All dual-lattice mode 4-tuples for the level, shape (sites, 4), int.
-
-    Modes are in unit-extent units: radians = 2*pi*mode/unit_extent.  The
-    fine level ranges over the refined extents; the coarse level over the
-    coarse extents (so its radian cell is (-pi/stride, pi/stride]).
-    """
-    return fft_mode_grid(shape.extents(level)).reshape(-1, 4)
 
 
 def radians_for_modes(shape: TorusShape, modes: np.ndarray) -> np.ndarray:

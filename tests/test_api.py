@@ -1,7 +1,10 @@
 """Every parameter of a public function or method of ``blockspin`` is read in
-its body, and none that takes fields also takes the torus they carry."""
+its body, none that takes fields also takes the torus they carry, and each
+``__all__`` lists exactly its module's public functions and classes."""
 
 import ast
+import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -89,3 +92,16 @@ def test_every_mode_defaults_to_discrete():
             if arg.arg == "mode":
                 defaults[name] = ast.literal_eval(default)
     assert len(defaults) >= 8 and set(defaults.values()) == {"discrete"}
+
+
+def test_all_lists_exactly_the_public_functions_and_classes():
+    # a deleted name cannot stay listed, and a public one cannot go unlisted
+    for info in pkgutil.iter_modules(blockspin.__path__):
+        module = importlib.import_module(f"blockspin.{info.name}")
+        if not hasattr(module, "__all__"):
+            continue
+        listed = set(module.__all__)
+        assert listed <= set(vars(module)), (info.name, listed - set(vars(module)))
+        public = {name for name, obj in vars(module).items() if not name.startswith("_")
+                  and (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module.__name__}
+        assert public <= listed, (info.name, public - listed)

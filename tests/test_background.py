@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blockspin import background
 from blockspin.background import (
     BackgroundSolution,
     ModelParams,
@@ -323,6 +324,38 @@ def test_nonlinear_nonconvergence_reports_best_iterate():
     assert isinstance(sol, BackgroundSolution)
     assert not sol.converged
     assert sol.iterations == 3
+
+
+@pytest.mark.parametrize("bad", [dict(max_iter=0), dict(max_iter=-2), dict(max_iter=3.0), dict(max_iter=True),
+                                 dict(tol=np.nan), dict(tol=np.inf), dict(tol=0.0), dict(tol=-1e-10)])
+def test_nonlinear_solve_rejects_bad_iteration_arguments(bad):
+    ((name, _),) = bad.items()
+    with pytest.raises(LatticeError, match=name):
+        solve_nonlinear(FieldPair.zeros(SMALL, "unit"), ModelParams(mu=0.5, v=0.01), SMALL, **bad)
+
+
+@pytest.mark.parametrize("dims", [(1, 3, 1, 1), (1, 3, 1, 2)])  # 243 fine sites (dense), 1944 (gmres)
+def test_newton_evaluates_each_iterate_once(dims, monkeypatch):
+    shape = make_shape(*dims)
+    pair = FieldPair.random(shape, "unit", np.random.default_rng(11), amplitude=1.0)
+    points, norms = set(), []
+
+    def counted(psi_pair, phi_star, phi, *args, **kwargs):
+        points.add(phi_star.tobytes() + phi.tobytes())
+        rs, rp = nonlinear_residuals(psi_pair, phi_star, phi, *args, **kwargs)
+        norms.append(max(np.max(np.abs(rs)), np.max(np.abs(rp))))
+        return rs, rp
+
+    monkeypatch.setattr(background, "nonlinear_residuals", counted)
+    sol = solve_nonlinear(pair, ModelParams(mu=0.05, v=0.5), shape, tol=1e-10)
+    assert sol.converged and sol.iterations >= 4
+    assert len(points) == len(norms)  # no point is evaluated twice
+    # a damping trial that does not lower the residual of its iterate is a halving
+    halvings, base = 0, norms[0]
+    for norm in norms[1:]:
+        halvings += not norm < base
+        base = min(base, norm)
+    assert len(norms) == sol.iterations + halvings
 
 
 def test_field_radius_warning():

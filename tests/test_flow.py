@@ -317,6 +317,14 @@ def test_chain_first_step_takes_the_time_plus_space_path(monkeypatch):
         block_spin_step(QuadraticAction.from_heat_minus_mu((243, 27, 27, 27), mu=0.05), 3, profile)
 
 
+def test_heat_minus_mu_rejects_non_finite_couplings():
+    for mu, d, name in ((np.nan, 1.0, "mu"), (complex(0.1, np.inf), 1.0, "mu"), (0.1, np.inf, "d")):
+        with pytest.raises(LatticeError, match=f"{name} must be finite"):
+            QuadraticAction.from_heat_minus_mu((9, 3, 3, 3), mu, d)
+    # complex finite mu stays allowed
+    assert np.all(np.isfinite(QuadraticAction.from_heat_minus_mu((9, 3, 3, 3), 0.1 + 0.2j).symbol_grid))
+
+
 def test_step_divisibility_guard():
     act = QuadraticAction.from_heat_minus_mu((4, 4, 4, 4), mu=0.1)
     with pytest.raises(Exception):

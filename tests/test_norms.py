@@ -17,16 +17,19 @@ def _sites(ext, count):
 
 
 @given(extents, st.data())
-def test_exact_steiner_at_most_mst(ext, data):
+def test_steiner_between_widest_pair_and_terminal_path(ext, data):
+    # every tree holds a path between each pair of terminals, and the path
+    # through the terminals in the drawn order is a tree spanning them
     pts = data.draw(_sites(ext, data.draw(st.integers(2, 5))))
-    assert steiner_tree_length(pts, ext) <= steiner_tree_length(pts, ext, method="mst")
+    length = steiner_tree_length(pts, ext)
+    assert max(torus_distance(a, b, ext) for a, b in itertools.combinations(pts, 2)) <= length
+    assert length <= sum(torus_distance(a, b, ext) for a, b in itertools.pairwise(pts))
 
 
 @given(extents, st.data())
 def test_two_terminals_give_torus_distance(ext, data):
     a, b = data.draw(_sites(ext, 2))
     assert steiner_tree_length([a, b], ext) == torus_distance(a, b, ext)
-    assert steiner_tree_length([a, b], ext, method="mst") == torus_distance(a, b, ext)
 
 
 @given(extents, st.data())

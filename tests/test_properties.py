@@ -27,7 +27,7 @@ from blockspin.symbols import (
     zero_field_symbol,
     zero_field_symbol_dense,
 )
-from blockspin.torus import Field, FieldPair, dual_modes, inner_product, make_shape, radians_for_modes
+from blockspin.torus import Field, FieldPair, fft_mode_grid, inner_product, make_shape, radians_for_modes
 
 shapes = st.tuples(st.just(3), st.sampled_from([3, 9]), st.sampled_from([1, 3]))  # (L, Nt, Nx)
 mus = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
@@ -38,7 +38,7 @@ modes = st.sampled_from(["discrete", "continuum"])
 
 def _unit_momenta(shape, seed, count=3):
     """k = 0 plus a few unit momenta drawn from the whole dual lattice."""
-    k = radians_for_modes(shape, dual_modes(shape, "unit"))
+    k = radians_for_modes(shape, fft_mode_grid(shape.unit_extents).reshape(-1, 4))
     pick = np.random.default_rng(seed).choice(len(k), size=min(count, len(k)), replace=False)
     return np.vstack([np.zeros(4), k[pick]])
 
@@ -321,7 +321,7 @@ def test_pole_sweep_raises_at_a_row_or_returns_finite(dims, profile):
     rng = np.random.default_rng(5)
     pair = FieldPair.random(shape, "unit", rng)
     R, Th = Field.random(shape, "unit", rng), Field.random(shape, "unit", rng)
-    k = radians_for_modes(shape, dual_modes(shape, "unit")).reshape(-1, 4)
+    k = radians_for_modes(shape, fft_mode_grid(shape.unit_extents)).reshape(-1, 4)
     raised = set()
 
     def check(name, call, values=lambda out: (out,)):

@@ -30,8 +30,8 @@ from blockspin.symbols import (
     zero_field_symbol,
     zero_field_symbol_dense,
 )
-from blockspin.torus import (Field, LatticeError, block_momenta, dual_modes, fiber_momenta, fiber_momenta_at, make_shape,
-                             radians_for_modes)
+from blockspin.torus import (Field, LatticeError, block_momenta, fft_mode_grid, fiber_momenta, fiber_momenta_at,
+                             make_shape, radians_for_modes)
 
 
 def direct_profile_transform(p, shape, profile):
@@ -473,6 +473,11 @@ def test_non_finite_momenta_name_the_first_bad_index():
             f(k.reshape(-1, 4), 0.3, 1.0, s)
         with pytest.raises(LatticeError, match=r"momentum \(0,\) is not finite"):
             f(np.array([0.1, -np.inf, 0.0, 0.2]), 0.3, 1.0, s)
+        # non-finite couplings are named too; complex finite mu is allowed
+        for mu, d, name in ((np.nan, 1.0, "mu"), (complex(0.3, np.inf), 1.0, "mu"), (0.3, np.inf, "d")):
+            with pytest.raises(LatticeError, match=f"{name} must be finite"):
+                f(k[0], mu, d, s)
+        assert np.all(np.isfinite(f(k[0], 0.3 + 0.2j, 1.0, s)))
     with pytest.raises(LatticeError, match="window"):
         small_k_fit(lambda q: np.ones(len(q)), np.nan)
     with pytest.raises(LatticeError, match="window"):
@@ -522,7 +527,7 @@ def test_symbols_run_their_kernel_once_per_cube_orbit(monkeypatch):
     small_k_fit(lambda q: zero_field_symbol(q, 0.3 + 0.2j, 1.0, s), 0.1)
     assert rows == {"fiber_resolvent": 80, "well_resolvent": 0}
     s = make_shape(1, 3, 9, 3)
-    k = radians_for_modes(s, dual_modes(s, "unit"))
+    k = radians_for_modes(s, fft_mode_grid(s.unit_extents).reshape(-1, 4))
     well_symbol(k, 0.3, 1.0, s, "discrete")
     assert rows == {"fiber_resolvent": 80, "well_resolvent": 20}
     well_symbol(k, 0.3 + 0.2j, 1.0, s, "discrete")

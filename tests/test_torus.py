@@ -6,7 +6,6 @@ from blockspin.torus import (
     FieldPair,
     LatticeError,
     TorusShape,
-    dual_modes,
     fft_mode_grid,
     fiber_merge,
     fiber_momenta,
@@ -33,12 +32,21 @@ def test_scale_one_shape():
     assert s.eps_x == pytest.approx(1.0 / 3.0)
 
 
-@pytest.mark.parametrize("bad", [dict(L=2), dict(L=4), dict(L=1), dict(Nt=0), dict(Nx=-1), dict(n=-1)])
+@pytest.mark.parametrize("bad", [dict(L=2), dict(L=4), dict(L=1), dict(Nt=0), dict(Nx=-1), dict(n=-1),
+                                 dict(Nt=2.5), dict(L=3.0), dict(n=True), dict(Nx=np.float64(4)), dict(Nt="4")])
 def test_shape_rejects_invalid(bad):
     kwargs = dict(n=1, L=3, Nt=4, Nx=4)
     kwargs.update(bad)
-    with pytest.raises(LatticeError):
+    with pytest.raises(LatticeError) as info:
         make_shape(**kwargs)
+    ((name, value),) = bad.items()
+    if type(value) is not int:
+        assert f"{name} must be an integer" in str(info.value)
+
+
+def test_shape_keeps_numpy_integers_as_python_ints():
+    assert make_shape(np.int64(1), np.int32(3), np.int64(4), np.uint8(4)) == make_shape(1, 3, 4, 4)
+    assert make_shape(np.int64(20), np.int64(3), 1, 1).mt == 3**40  # L^(2n) does not wrap at 64 bits
 
 
 def test_site_count_bookkeeping():
@@ -86,14 +94,14 @@ def test_inner_product_level_mismatch():
 
 def test_dual_lattice_two_point():
     s = make_shape(0, 3, 2, 2)
-    rad = radians_for_modes(s, dual_modes(s, "unit"))
+    rad = radians_for_modes(s, fft_mode_grid(s.unit_extents).reshape(-1, 4))
     assert rad.shape == (16, 4)
     assert set(np.abs(rad).ravel()) == {0.0, np.pi}
 
 
 def test_dual_lattice_contains_zero_and_negation():
     s = make_shape(0, 3, 4, 4)
-    modes = {tuple(m) for m in dual_modes(s, "unit")}
+    modes = {tuple(m) for m in fft_mode_grid(s.unit_extents).reshape(-1, 4)}
     assert (0, 0, 0, 0) in modes
     for m in modes:
         # negation lands back in the set after reduction to (-N/2, N/2]
@@ -107,7 +115,7 @@ def test_dual_lattice_contains_zero_and_negation():
 
 def test_fine_dual_is_unit_plus_block():
     s = make_shape(1, 3, 2, 2)
-    fine = dual_modes(s, "fine")
+    fine = fft_mode_grid(s.fine_extents).reshape(-1, 4)
     assert fine.shape[0] == s.sites("fine")
     p = np.stack(np.broadcast_arrays(*fiber_momenta(s)), axis=-1).reshape(s.sites("unit"), -1, 4)
     assert p.shape == (16, 3**5, 4)
