@@ -15,6 +15,7 @@ running prefactor a_n that a chain of steps builds up is ``FlowParams.a``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,14 +155,17 @@ class WellGeometry:
             raise LatticeError("well radius must be nonnegative")
 
 
+def _well(mu: float, v: float) -> tuple[float, float]:
+    """(radius sqrt(mu/v), per-site depth -mu^2/(2v)) at mu > 0, unchecked."""
+    return math.sqrt(mu / v), float(-0.5 * mu**2 / v)
+
+
 def well_geometry(flow) -> WellGeometry:
     """Radius sqrt(mu/v) and per-site depth -mu^2/(2v) of the circular
     minimum of the effective potential."""
     if flow.mu <= 0:
         raise LatticeError("well geometry needs mu > 0")
-    radius = float(np.sqrt(flow.mu / flow.v))
-    depth = -0.5 * flow.mu**2 / flow.v
-    return WellGeometry(radius=radius, depth=float(depth))
+    return WellGeometry(*_well(flow.mu, flow.v))
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .action import well_geometry
+from .action import _well
 from .lattice_ops import SHARP, AveragingProfile, block_average_adjoint, operator_matrix, profile_axis_symbol
 from .symbols import _POLE, _SINGULAR, NumericalError, _check_couplings, _pole_rows, _resummed, _row_batches
 from .torus import Field, LatticeError, TorusShape, _is_integer, fiber_momenta, make_shape, negate_modes
@@ -112,7 +112,16 @@ def admissible_window(mu0: float, v0: float) -> tuple[float, float]:
     return (v0**1.25, v0**0.9)
 
 
-def flow_params_at(n: int, mu0: float, v0: float, L: int, eps: float = 0.01,
+def _warn_outside_window(mu0: float, v0: float) -> None:
+    lo, hi = admissible_window(mu0, v0)
+    if not (lo < mu0 < hi):
+        warnings.warn(f"initial chemical potential {mu0:.3g} outside the admissible window ({lo:.3g}, {hi:.3g})")
+
+
+_EPS = 0.01  # the default margin eps of the field radii's exponent -1/3 + eps
+
+
+def flow_params_at(n: int, mu0: float, v0: float, L: int, eps: float = _EPS,
                    mu_override: float | None = None) -> FlowParams:
     """Running couplings at scale n from the closed-form leading flow.
 
@@ -125,11 +134,14 @@ def flow_params_at(n: int, mu0: float, v0: float, L: int, eps: float = 0.01,
     if n < 0:
         raise LatticeError("scale index must be nonnegative")
     n_max = max_steps(v0, L)
-    lo, hi = admissible_window(mu0, v0)
-    if not (lo < mu0 < hi):
-        warnings.warn(f"initial chemical potential {mu0:.3g} outside the admissible window ({lo:.3g}, {hi:.3g})")
+    _warn_outside_window(mu0, v0)
     if n > n_max:
         warnings.warn(f"scale {n} beyond the admissible number of steps {n_max}")
+    return _couplings(n, mu0, v0, L, eps, mu_override)
+
+
+def _couplings(n: int, mu0: float, v0: float, L: int, eps: float, mu_override: float | None) -> FlowParams:
+    """:func:`flow_params_at`'s couplings without its checks and warnings."""
     mu = float(mu_override) if mu_override is not None else float(L ** (2 * n)) * mu0
     radius_base = v0 ** (-1.0 / 3.0 + eps)
     return FlowParams(
@@ -554,10 +566,13 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
     ``profile`` does not change the trace: the quadratic level is blind to
     the averaging profile.  ``shape`` must be a torus of this L that admits
     a block step (L^2 | Nt, L | Nx), ``steps`` at least 1, ``mu0`` finite
-    and positive and ``v0`` in (0, 1], else :class:`LatticeError` before
-    any row.  The well geometry is per site, and a row is "parabolic" below
-    ``stop_mu``, else "transitional".  Where the next scale has no fixed
-    point (L^2 mu > 3 - 2 sqrt 2, short of the correction's pole at input
+    and positive and ``v0`` in (0, 1], else :class:`LatticeError` before any
+    row.  These checks, and the warning for ``mu0`` outside the admissible
+    window, run once per trace; each row's couplings are
+    :func:`flow_params_at`'s formula without its per-call checks.  The well
+    geometry is per site, and a row is "parabolic" below ``stop_mu``, else
+    "transitional".  Where the next scale has no fixed point
+    (L^2 mu > 3 - 2 sqrt 2, short of the correction's pole at input
     mu = L^-2) the trace ends at the last good scale.  A renormalized mu
     never exceeds 1 - sqrt(2)/2 (about 0.293), so the default ``stop_mu`` =
     0.5 ends a renormalized trace only at a first row mu0 >= 0.5.  The last
@@ -574,23 +589,19 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
     n_last = max_steps(v0, L)
     if steps is not None:
         n_last = min(n_last, steps - 1)
+    _warn_outside_window(mu0, v0)
     trace: list[FlowStep] = []
     mu_running = mu0
-    stop = "max_steps"
     for n in range(n_last + 1):
-        params = flow_params_at(n, mu0, v0, L, mu_override=mu_running if renormalize else None)
-        well = well_geometry(params)
-        trace.append(FlowStep(params, well.radius, well.depth, "parabolic" if params.mu < stop_mu else "transitional"))
-        if params.mu >= stop_mu:
-            stop = "stop_mu"
-            break
-        if n == n_last:
-            break
-        if renormalize:
+        params = _couplings(n, mu0, v0, L, _EPS, mu_running if renormalize else None)
+        radius, depth = _well(params.mu, params.v)
+        stop = "stop_mu" if params.mu >= stop_mu else "max_steps" if n == n_last else None
+        if stop is None and renormalize:
             try:
                 mu_running = renormalize_mu(params)
             except NumericalError as exc:
                 stop = f"renormalize_mu: {exc}"
-                break
-    trace[-1] = replace(trace[-1], stop=stop)
+        trace.append(FlowStep(params, radius, depth, "parabolic" if params.mu < stop_mu else "transitional", stop))
+        if stop is not None:
+            break
     return trace

@@ -1,12 +1,15 @@
 """Every parameter of a public function or method of ``blockspin`` is read in
-its body, none that takes fields also takes the torus they carry, and each
-``__all__`` lists exactly its module's public functions and classes."""
+its body, none that takes fields also takes the torus they carry, each
+``__all__`` lists exactly its module's public functions and classes, and each
+declared console script names a callable."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
 from pathlib import Path
+
+import pytest
 
 import blockspin
 
@@ -105,3 +108,13 @@ def test_all_lists_exactly_the_public_functions_and_classes():
         public = {name for name, obj in vars(module).items() if not name.startswith("_")
                   and (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module.__name__}
         assert public <= listed, (info.name, public - listed)
+
+
+def test_every_console_script_names_a_callable():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = tomllib.loads(Path(__file__).parents[1].joinpath("pyproject.toml").read_text())
+    scripts = pyproject["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr, None)), (name, target)

@@ -1,19 +1,28 @@
 import contextlib
 import itertools
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockspin import flow
+from blockspin.action import well_geometry
+from blockspin.cli import main
 from blockspin.flow import (
     FlowParams,
+    FlowStep,
     QuadraticAction,
+    admissible_window,
     apply_offset_kernel,
     block_spin_step,
     block_spin_step_dense,
@@ -633,7 +642,7 @@ def test_run_flow_rejects_bad_inputs_before_any_row(monkeypatch, mu0, v0, steps)
     def no_row(*args, **kwargs):
         raise AssertionError("a row was built")
 
-    monkeypatch.setattr(flow, "flow_params_at", no_row)
+    monkeypatch.setattr(flow, "_couplings", no_row)  # every trace row is built there
     for renormalize in (True, False):
         with pytest.raises(LatticeError):
             run_flow(mu0, v0, 3, make_shape(0, 3, 81, 9), steps=steps, renormalize=renormalize)
@@ -686,3 +695,84 @@ def test_flow_params_at_kappa_step_ratio_exact():
     f1 = flow_params_at(1, 1e-5, 1e-5, 3)
     f2 = flow_params_at(2, 1e-5, 1e-5, 3)
     assert f2.kappa / f1.kappa == pytest.approx(3.0**0.75, rel=1e-14)
+
+
+def _rebuilt_trace(mu0, v0, L, steps, stop_mu, renormalize):
+    """run_flow's rows from the public functions, one flow_params_at call per row."""
+    n_last = max_steps(v0, L) if steps is None else min(max_steps(v0, L), steps - 1)
+    rows, mu = [], mu0 if renormalize else None
+    for n in range(n_last + 1):
+        params = flow_params_at(n, mu0, v0, L, mu_override=mu)
+        well = well_geometry(params)
+        stop = "stop_mu" if params.mu >= stop_mu else "max_steps" if n == n_last else None
+        if stop is None and renormalize:
+            try:
+                mu = renormalize_mu(params)
+            except NumericalError as exc:
+                stop = f"renormalize_mu: {exc}"
+        rows.append(FlowStep(params, well.radius, well.depth, "parabolic" if params.mu < stop_mu else "transitional",
+                             stop))
+        if stop is not None:
+            break
+    return rows
+
+
+@given(st.sampled_from((3, 5, 7)), st.floats(-9.0, 0.0), st.floats(0.0, 1.0),
+       st.one_of(st.none(), st.integers(1, 5)), st.booleans(), st.sampled_from((0.05, 0.5)))
+@example(3, -5.0, 0.81, None, True, 0.5)  # ends at renormalize_mu's hard stop
+@example(3, -6.0, 1.0, None, False, 0.5)  # mu0 above the window: ends at stop_mu
+@settings(max_examples=60)
+def test_run_flow_rows_are_flow_params_at_rows(L, log_v0, t, steps, renormalize, stop_mu):
+    # mu0 from half a decade below the admissible window to half a decade above it
+    v0 = 10.0**log_v0
+    lo, hi = (math.log10(b) for b in admissible_window(0.0, v0))
+    mu0 = 10.0 ** (lo - 0.5 + t * (hi - lo + 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the window warning
+        trace = run_flow(mu0, v0, L, make_shape(0, L, L * L, L), steps=steps, stop_mu=stop_mu,
+                         renormalize=renormalize)
+        assert trace == _rebuilt_trace(mu0, v0, L, steps, stop_mu, renormalize)
+
+
+def test_run_flow_warns_once_per_trace_and_flow_params_at_per_call():
+    message = "initial chemical potential 0.003 outside the admissible window"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = run_flow(3e-3, 1e-6, 3, make_shape(0, 3, 9, 3), renormalize=False)
+    assert len(trace) == 4
+    assert [str(w.message)[: len(message)] for w in caught] == [message]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for n in range(4):
+            flow_params_at(n, 3e-3, 1e-6, 3)
+    assert [str(w.message)[: len(message)] for w in caught] == [message] * 4
+
+
+@pytest.mark.parametrize("argv, shape, kwargs", [
+    (["flow", "1e-5", "1e-5", "3"], (0, 3, 9, 3), {}),
+    (["flow", "3.16e-5", "1e-5", "3", "--Nt", "81", "--Nx", "9"], (0, 3, 81, 9), {}),
+    (["flow", "1e-5", "1e-5", "5", "--steps", "2", "--no-renormalize"], (0, 5, 25, 5),
+     {"steps": 2, "renormalize": False}),
+])
+def test_cli_flow_prints_one_json_row_per_trace_row(capsys, argv, shape, kwargs):
+    main(argv)
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    trace = run_flow(float(argv[1]), float(argv[2]), int(argv[3]), make_shape(*shape), **kwargs)
+    assert [row["n"] for row in rows] == list(range(len(trace)))
+    for row, step in zip(rows, trace):
+        assert row == {"n": step.params.n, "mu": step.params.mu, "v": step.params.v, "a": step.params.a,
+                       "well_radius": step.well_radius, "well_depth_per_site": step.well_depth_per_site,
+                       "classifier": step.classifier, "stop": step.stop}
+    assert rows[-1]["stop"] == trace[-1].stop is not None
+
+
+def test_cli_rejects_bad_inputs_with_usage_status(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["flow", "1e-5", "2.0", "3"])
+    assert exit_info.value.code == 2
+    assert "v0 must lie in (0, 1]" in capsys.readouterr().err
+
+
+def test_importing_the_package_does_not_import_the_cli():
+    code = "import sys, blockspin; assert 'blockspin.cli' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
