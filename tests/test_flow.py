@@ -748,16 +748,15 @@ def test_run_flow_warns_once_per_trace_and_flow_params_at_per_call():
     assert [str(w.message)[: len(message)] for w in caught] == [message] * 4
 
 
-@pytest.mark.parametrize("argv, shape, kwargs", [
-    (["flow", "1e-5", "1e-5", "3"], (0, 3, 9, 3), {}),
-    (["flow", "3.16e-5", "1e-5", "3", "--Nt", "81", "--Nx", "9"], (0, 3, 81, 9), {}),
-    (["flow", "1e-5", "1e-5", "5", "--steps", "2", "--no-renormalize"], (0, 5, 25, 5),
-     {"steps": 2, "renormalize": False}),
+@pytest.mark.parametrize("argv, kwargs", [
+    (["flow", "1e-5", "1e-5", "3"], {}),
+    (["flow", "1e-5", "1e-5", "5", "--steps", "2", "--no-renormalize"], {"steps": 2, "renormalize": False}),
 ])
-def test_cli_flow_prints_one_json_row_per_trace_row(capsys, argv, shape, kwargs):
+def test_cli_flow_prints_one_json_row_per_trace_row(capsys, argv, kwargs):
     main(argv)
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    trace = run_flow(float(argv[1]), float(argv[2]), int(argv[3]), make_shape(*shape), **kwargs)
+    L = int(argv[3])
+    trace = run_flow(float(argv[1]), float(argv[2]), L, make_shape(0, L, L * L, L), **kwargs)
     assert [row["n"] for row in rows] == list(range(len(trace)))
     for row, step in zip(rows, trace):
         assert row == {"n": step.params.n, "mu": step.params.mu, "v": step.params.v, "a": step.params.a,
@@ -766,11 +765,18 @@ def test_cli_flow_prints_one_json_row_per_trace_row(capsys, argv, shape, kwargs)
     assert rows[-1]["stop"] == trace[-1].stop is not None
 
 
-def test_cli_rejects_bad_inputs_with_usage_status(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main(["flow", "1e-5", "2.0", "3"])
+@pytest.mark.parametrize("mu0, v0, message", [
+    ("1e-5", "2.0", "v0 must lie in (0, 1]"),
+    ("1e160", "1e-5", "overflows the floating-point range"),  # mu0**2 overflows
+    ("1e150", "1e-10", "leaves the floating-point range"),  # the well depth is -inf
+])
+def test_cli_rejects_bad_inputs_with_usage_status(capsys, mu0, v0, message):
+    with pytest.raises(SystemExit) as exit_info, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the window warning
+        main(["flow", mu0, v0, "3"])
     assert exit_info.value.code == 2
-    assert "v0 must lie in (0, 1]" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 def test_importing_the_package_does_not_import_the_cli():
