@@ -31,10 +31,10 @@ from .torus import (
     TorusShape,
     common_torus,
     fft_mode_grid,
-    field_modes,
     inner_product,
     negate_modes,
     radians_for_modes,
+    to_modes,
 )
 
 __all__ = [
@@ -186,8 +186,8 @@ def zero_field_quadratic_form(psi_pair: FieldPair, params: ModelParams, mode: st
     sigma = zero_field_symbol(k.reshape(-1, 4), params.mu, params.d, shape, mode, profile).reshape(
         shape.unit_extents
     )
-    c_star = negate_modes(field_modes(psi_pair.starred))
-    c_plain = field_modes(psi_pair.plain)
+    c_star = negate_modes(to_modes(psi_pair.starred.values))
+    c_plain = to_modes(psi_pair.plain.values)
     return complex(psi_pair.plain.sites * np.sum(c_star * sigma * c_plain))
 
 
@@ -206,10 +206,9 @@ def well_quadratic_form(R: Field, Theta: Field, params: ModelParams, mode: str =
         raise LatticeError("well form takes unit-level fields")
     k = radians_for_modes(shape, fft_mode_grid(shape.unit_extents)).reshape(-1, 4)
     sigma = well_symbol(k, params.mu, params.d, shape, mode, profile)
-    cR = field_modes(R).reshape(-1)
-    cT = field_modes(Theta).reshape(-1)
-    cRn = negate_modes(field_modes(R)).reshape(-1)
-    cTn = negate_modes(field_modes(Theta)).reshape(-1)
+    cR, cT = to_modes(R.values), to_modes(Theta.values)
+    cRn, cTn = negate_modes(cR).reshape(-1), negate_modes(cT).reshape(-1)
+    cR, cT = cR.reshape(-1), cT.reshape(-1)
     quad = np.sum(
         cRn * (sigma[:, 0, 0] * cR + sigma[:, 0, 1] * cT)
         + cTn * (sigma[:, 1, 0] * cR + sigma[:, 1, 1] * cT)

@@ -15,10 +15,12 @@ nonlinear system with the exact Jacobian (dense at small sizes, GMRES
 preconditioned by the rank-one kernel above).  Both kernels follow the
 symbols module's pole rule: a fiber row may hold at most one zero of its
 diagonal, with live averaging weight; any other pattern raises
-:class:`NumericalError` naming the row.  This module builds the fiber data
-(averaging weights u, diagonals a or D) from the per-axis components of
-:func:`fiber_momenta`; the symbols broadcast over the fiber view and
-reshape to (unit sites, blocks) rows.
+:class:`NumericalError` naming the row.  A field reaches its fibers through
+the one transform pair of :mod:`blockspin.torus` (:func:`to_modes`, then
+:func:`fiber_split`, and back through :func:`fiber_merge` and
+:func:`from_modes`).  The fiber data (averaging weights u, diagonals a or D)
+are the elementary symbols on the per-axis components of
+:func:`fiber_momenta`, reshaped to (unit sites, blocks) rows.
 
 Newton's Jacobian, its GMRES matvec and its preconditioner use the fiber
 form diag(a) + u u^T.  The residuals apply the operator another way, so
@@ -57,8 +59,9 @@ from .torus import (
     fiber_merge,
     fiber_momenta,
     fiber_split,
-    field_modes,
     fine_momenta,
+    from_modes,
+    to_modes,
 )
 
 __all__ = [
@@ -177,9 +180,7 @@ class _FiberOperator:
 
     def _on_fibers(self, values: np.ndarray, fiber_map) -> np.ndarray:
         """Apply ``fiber_map`` to the (U, B) fiber array of a fine field's mode coefficients."""
-        fib = fiber_split(np.fft.fftn(values) / values.size, self.shape)
-        merged = fiber_merge(fiber_map(fib), self.shape)
-        return np.fft.ifftn(merged) * merged.size
+        return from_modes(fiber_merge(fiber_map(fiber_split(to_modes(values), self.shape)), self.shape))
 
     def apply_field(self, values: np.ndarray, transpose: bool = False) -> np.ndarray:
         """(diag(a) + u u^T) c on every fiber row."""
@@ -266,13 +267,13 @@ def solve_well_linear(R: Field, Theta: Field, params: ModelParams, mode: str = "
     shape = common_torus(R, Theta)
     if R.level != "unit" or Theta.level != "unit":
         raise LatticeError("radial/tangential data live on the unit lattice")
-    w = np.stack([field_modes(R).reshape(-1), field_modes(Theta).reshape(-1)], axis=-1)
+    w = to_modes(np.stack([R.values, Theta.values], axis=-1)).reshape(-1, 2)
     p = fiber_momenta(shape)
     rows = (shape.sites("unit"), -1)
     u = averaging_symbol(p, shape, profile).reshape(rows)
     D = well_matrix(p, params.mu, params.d, shape, mode).reshape(rows + (2, 2))
     _, c = well_resolvent(D, u, w)
-    XH = np.fft.ifftn(fiber_merge(c, shape), axes=(0, 1, 2, 3)) * shape.sites("fine")
+    XH = from_modes(fiber_merge(c, shape))
     X, H = Field(shape, "fine", XH[..., 0]), Field(shape, "fine", XH[..., 1])
     resid = _well_residual(X, H, R, Theta, params, mode, profile)
     scale = max(1.0, float(np.max(np.abs(R.values))), float(np.max(np.abs(Theta.values))))
@@ -288,12 +289,9 @@ def apply_well_operator(X: Field, H: Field, params: ModelParams, mode: str = "di
     fine mode grid (:func:`fine_momenta`), not the solve's fibers."""
     shape = common_torus(X, H)
     D = well_matrix(fine_momenta(shape), params.mu, params.d, shape, mode)
-    cX = np.fft.fftn(X.values) / X.sites
-    cH = np.fft.fftn(H.values) / H.sites
-    oX = D[..., 0, 0] * cX + D[..., 0, 1] * cH
-    oH = D[..., 1, 0] * cX + D[..., 1, 1] * cH
-    outX = np.fft.ifftn(oX) * oX.size + _direct_operator(X, profile)
-    outH = np.fft.ifftn(oH) * oH.size + _direct_operator(H, profile)
+    cX, cH = to_modes(X.values), to_modes(H.values)
+    outX = from_modes(D[..., 0, 0] * cX + D[..., 0, 1] * cH) + _direct_operator(X, profile)
+    outH = from_modes(D[..., 1, 0] * cX + D[..., 1, 1] * cH) + _direct_operator(H, profile)
     return outX, outH
 
 

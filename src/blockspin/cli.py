@@ -12,6 +12,7 @@ import argparse
 import json
 
 from .flow import run_flow
+from .symbols import NumericalError
 from .torus import LatticeError, make_shape
 
 __all__ = ["main"]
@@ -22,8 +23,9 @@ def main(argv: list[str] | None = None) -> None:
 
     Invalid inputs, which :func:`run_flow` rejects with
     :class:`blockspin.torus.LatticeError`, and inputs whose trace leaves the
-    floating-point range (an overflow, or an infinite well depth that JSON
-    cannot hold) end the program with usage status 2 before any row is printed.
+    floating-point range, for which it raises
+    :class:`blockspin.symbols.NumericalError`, end the program with usage
+    status 2 before any row is printed.
     """
     parser = argparse.ArgumentParser(prog="blockspin", description="Block-spin flow laboratory.")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -38,17 +40,9 @@ def main(argv: list[str] | None = None) -> None:
     try:
         trace = run_flow(args.mu0, args.v0, args.L, make_shape(0, args.L, args.L * args.L, args.L),
                          steps=args.steps, renormalize=args.renormalize)
-    except LatticeError as exc:
+    except (LatticeError, NumericalError) as exc:
         flow_cmd.error(str(exc))
-    except OverflowError as exc:
-        flow_cmd.error(f"the trace overflows the floating-point range: {exc}")
-    lines = []
     for row in trace:
         p = row.params
-        record = {"n": p.n, "mu": p.mu, "v": p.v, "a": p.a, "well_radius": row.well_radius,
-                  "well_depth_per_site": row.well_depth_per_site, "classifier": row.classifier, "stop": row.stop}
-        try:
-            lines.append(json.dumps(record, allow_nan=False))
-        except ValueError:
-            flow_cmd.error(f"row {p.n} leaves the floating-point range: {record}")
-    print("\n".join(lines))
+        print(json.dumps({"n": p.n, "mu": p.mu, "v": p.v, "a": p.a, "well_radius": row.well_radius,
+                          "well_depth_per_site": row.well_depth_per_site, "stop": row.stop}))

@@ -44,7 +44,8 @@ import numpy as np
 from .action import _well
 from .lattice_ops import SHARP, AveragingProfile, block_average_adjoint, operator_matrix, profile_axis_symbol
 from .symbols import _POLE, _SINGULAR, NumericalError, _check_couplings, _pole_rows, _resummed, _row_batches
-from .torus import Field, LatticeError, TorusShape, _is_integer, fiber_momenta, make_shape, negate_modes
+from .torus import (Field, LatticeError, TorusShape, _is_integer, fiber_momenta, from_modes, make_shape, negate_modes,
+                    to_modes)
 
 __all__ = [
     "FlowParams",
@@ -98,10 +99,13 @@ def _block_prefactor(n: int, L: int) -> float:
 
 def max_steps(v0: float, L: int) -> int:
     """Largest admissible scale index: floor((2/5) log(1/v0) / log L).  A
-    coupling v0 outside (0, 1], NaN included, or a block factor L that is
-    not an integer >= 2 raises :class:`LatticeError`."""
+    coupling v0 outside (0, 1], NaN included, or so small that 1/v0
+    overflows, or a block factor L that is not an integer >= 2 raises
+    :class:`LatticeError`."""
     if not 0.0 < v0 <= 1.0:
         raise LatticeError(f"initial coupling v0 must lie in (0, 1], got {v0}")
+    if 1.0 / v0 == math.inf:
+        raise LatticeError(f"initial coupling v0 = {v0} is too small: 1/v0 overflows")
     if not _is_integer(L) or L < 2:
         raise LatticeError(f"block factor L must be an integer >= 2, got {L!r}")
     return int(math.floor(0.4 * math.log(1.0 / v0) / math.log(L)))
@@ -390,7 +394,7 @@ def block_spin_step_dense(action: QuadraticAction, L: int, profile: AveragingPro
     sites = int(np.prod(extents))
     if sites > _DENSE_STEP_SITES:
         raise LatticeError(f"dense oracle capped at {_DENSE_STEP_SITES} sites")
-    kernel = np.fft.fftn(action.symbol_grid) / sites
+    kernel = to_modes(action.symbol_grid)
     # A[x, y] = K(y - x) = doubled[N - x + y], the kernel doubled along every axis: one strided copy
     windows = np.lib.stride_tricks.sliding_window_view(np.tile(kernel, (2, 2, 2, 2)), extents)
     A = windows[tuple(slice(N, 0, -1) for N in extents)].reshape(sites, sites)
@@ -404,7 +408,7 @@ def block_spin_step_dense(action: QuadraticAction, L: int, profile: AveragingPro
     out_op = np.eye(coarse_sites) / Lsq - Q @ np.linalg.solve(G, Qstar) / Lsq**2
     new_extents = (extents[0] // (L * L), extents[1] // L, extents[2] // L, extents[3] // L)
     row0 = out_op[0, :].reshape(new_extents)
-    symbol = np.fft.ifftn(row0) * coarse_sites * Lsq
+    symbol = from_modes(row0) * Lsq
     return QuadraticAction(new_extents, symbol)
 
 
@@ -442,7 +446,7 @@ def localize_quadratic(action: QuadraticAction):
     grid = action.symbol_grid
     scalar_c = complex(grid[(0,) * grid.ndim])
     # symbol(k) = sum_z K(z) exp(+i k z), so the kernel is the forward transform
-    kernel = np.fft.fftn(grid) / grid.size
+    kernel = to_modes(grid)
     cut = _ROUNDOFF_CUT * float(np.max(np.abs(kernel)))
     kernel[np.abs(kernel) <= cut] = 0.0
     # roll each axis into increasing representatives of (-N/2, N/2]: index i holds i - zero[axis]
@@ -469,19 +473,17 @@ def localize_quadratic(action: QuadraticAction):
 def apply_offset_kernel(kern: np.ndarray, f: Field) -> Field:
     """(K f)(x) = sum_z K(z) f(x + z), with kern[z mod N] = K(z) shaped like f.
 
-    One multiply by the symbol sum_z K(z) exp(+i k z) = ifftn(kern) * kern.size
-    on the field's FFT grid.
+    One multiply of the field's modes by the symbol sum_z K(z) exp(+i k z),
+    which is :func:`blockspin.torus.from_modes` of kern.
     """
     if kern.shape != f.values.shape:
         raise LatticeError(f"kernel shaped {kern.shape}, field shaped {f.values.shape}")
-    symbol = np.fft.ifftn(kern) * kern.size
-    return f.with_values(np.fft.ifftn(np.fft.fftn(f.values) * symbol))
+    return f.with_values(from_modes(to_modes(f.values) * from_modes(kern)))
 
 
 def quadratic_action_form(action: QuadraticAction, psi_star: Field, psi: Field) -> complex:
     """<psi_star, K psi>_0 through the symbol grid."""
-    c_star = np.fft.fftn(psi_star.values) / psi_star.sites
-    c_plain = np.fft.fftn(psi.values) / psi.sites
+    c_star, c_plain = to_modes(psi_star.values), to_modes(psi.values)
     return complex(psi.sites * np.sum(negate_modes(c_star) * action.symbol_grid * c_plain))
 
 
@@ -548,7 +550,6 @@ class FlowStep:
     params: FlowParams
     well_radius: float
     well_depth_per_site: float
-    classifier: str
     stop: str | None = None
 
 
@@ -570,8 +571,9 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
     row.  These checks, and the warning for ``mu0`` outside the admissible
     window, run once per trace; each row's couplings are
     :func:`flow_params_at`'s formula without its per-call checks.  The well
-    geometry is per site, and a row is "parabolic" below ``stop_mu``, else
-    "transitional".  Where the next scale has no fixed point
+    geometry is per site; a row whose radius or depth leaves the
+    floating-point range raises :class:`NumericalError` naming the row.
+    Where the next scale has no fixed point
     (L^2 mu > 3 - 2 sqrt 2, short of the correction's pole at input
     mu = L^-2) the trace ends at the last good scale.  A renormalized mu
     never exceeds 1 - sqrt(2)/2 (about 0.293), so the default ``stop_mu`` =
@@ -594,14 +596,19 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
     mu_running = mu0
     for n in range(n_last + 1):
         params = _couplings(n, mu0, v0, L, _EPS, mu_running if renormalize else None)
-        radius, depth = _well(params.mu, params.v)
+        try:
+            radius, depth = _well(params.mu, params.v)
+        except ArithmeticError:  # mu^2 overflows, or v underflows to 0
+            radius = depth = math.nan
+        if not math.isfinite(radius + depth):  # radius >= 0 >= depth: an inf or a NaN in either shows
+            raise NumericalError(f"flow row {n} leaves the floating-point range at mu = {params.mu}, v = {params.v}")
         stop = "stop_mu" if params.mu >= stop_mu else "max_steps" if n == n_last else None
         if stop is None and renormalize:
             try:
                 mu_running = renormalize_mu(params)
             except NumericalError as exc:
                 stop = f"renormalize_mu: {exc}"
-        trace.append(FlowStep(params, radius, depth, "parabolic" if params.mu < stop_mu else "transitional", stop))
+        trace.append(FlowStep(params, radius, depth, stop))
         if stop is not None:
             break
     return trace

@@ -23,10 +23,9 @@ raises :class:`NumericalError` naming the row.  Dense fiber inversion is
 kept as the oracle.
 
 The elementary symbols (:func:`averaging_symbol`, :func:`heat_symbol`,
-:func:`well_matrix`) read their momenta one component at a time, in the
-per-axis format of :mod:`blockspin.torus` or from a (..., 4) array.  The
-dense oracles evaluate pointwise on the (blocks, 4) array k +
-:func:`blockspin.torus.block_momenta`.
+:func:`well_matrix`) read four per-axis momentum components, the fiber-level
+format of :mod:`blockspin.torus`.  The dense oracles evaluate them on the
+fiber :func:`blockspin.torus.fiber_momenta_at` of one unit momentum.
 
 The batched symbols (:func:`zero_field_symbol`, :func:`well_symbol`) run
 their kernel once per orbit of the momenta they are given
@@ -62,8 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice_ops import SHARP, AveragingProfile, profile_axis_symbol
-from .torus import (LatticeError, TorusShape, block_momenta, fiber_momenta, fiber_momenta_at, make_shape,
-                    momentum_orbits)
+from .torus import LatticeError, TorusShape, fft_mode_grid, fiber_momenta, fiber_momenta_at, make_shape, momentum_orbits
 
 __all__ = [
     "NumericalError",
@@ -112,22 +110,11 @@ def _check_couplings(mu, d) -> None:
             raise LatticeError(f"{name} must be finite, got {value}")
 
 
-def _as_k_array(k) -> np.ndarray:
-    arr = np.asarray(k, dtype=float)
-    if arr.shape[-1:] != (4,):
-        raise LatticeError("momenta must have 4 components")
-    return arr
-
-
 def _components(p) -> tuple[np.ndarray, ...]:
-    """The four momentum components of p: a tuple of four arrays that
-    broadcast together (the format of :func:`blockspin.torus.fiber_momenta`),
-    or the last axis of a (..., 4) array."""
-    if not isinstance(p, tuple):
-        arr = _as_k_array(p)
-        return tuple(arr[..., axis] for axis in range(4))
-    if len(p) != 4:
-        raise LatticeError(f"momenta must have 4 components, got {len(p)}")
+    """The four momentum components of p, a tuple of four arrays that
+    broadcast together (the format of :func:`blockspin.torus.fiber_momenta`)."""
+    if not (isinstance(p, tuple) and len(p) == 4):
+        raise LatticeError(f"momenta must be a tuple of 4 per-axis components, got {type(p).__name__}")
     comps = tuple(np.asarray(c, dtype=float) for c in p)
     try:
         np.broadcast(*comps)
@@ -145,7 +132,7 @@ def averaging_symbol(p, shape: TorusShape, profile: AveragingProfile = SHARP):
 
     Product over axes of sin(p/2) / ((1/eps) sin(eps*p/2)) raised to the
     profile exponent; removable singularities handled by series expansion.
-    p is four per-axis components or a (..., 4) array.
+    p is four per-axis components.
     """
     p = _components(p)
     # the three spatial axes share a box length: one profile call on their angles
@@ -165,7 +152,7 @@ def heat_symbol(p, shape: TorusShape, d: float = 1.0, mode: str = "discrete"):
 
     In continuum mode the result is -i*d*p0 + |pvec|^2.  At real momenta the
     bilinear transpose (+d * backward difference - Laplacian) has the complex
-    conjugate symbol.  p is four per-axis components or a (..., 4) array.
+    conjugate symbol.  p is four per-axis components.
     """
     _check_mode(mode)
     p = _components(p)
@@ -382,7 +369,9 @@ def _in_batches(k, shape: TorusShape, rows, reflect=None):
     representative's index in k, the first index in k of a singular orbit;
     a non-finite momentum raises :class:`LatticeError` naming the first.
     """
-    k = _as_k_array(k)
+    k = np.asarray(k, dtype=float)
+    if k.shape[-1:] != (4,):
+        raise LatticeError("momenta must have 4 components")
     flat = k.reshape(-1, 4)
     index_shape = k.shape[:-1] or (1,)
 
@@ -443,10 +432,11 @@ def zero_field_symbol_dense(k, mu, d, shape: TorusShape, mode: str = "discrete",
 
     Fiber indices with (numerically) vanishing averaging weight decouple from
     the rank-one part exactly; the remaining block diag(a) + u u^T is
-    inverted densely.  Single momenta only; evaluated pointwise on the
-    (blocks, 4) momenta k + :func:`blockspin.torus.block_momenta`.
+    inverted densely.  Single momenta only; evaluated on the fiber
+    :func:`blockspin.torus.fiber_momenta_at` of k.
     """
-    a, u = _fiber_terms(np.asarray(k, float).reshape(4) + block_momenta(shape), mu, d, shape, mode, profile)
+    p = fiber_momenta_at(np.reshape(k, 4), shape)
+    a, u = (x.reshape(-1) for x in _fiber_terms(p, mu, d, shape, mode, profile))
     coupled = np.abs(u) > _DEAD_WEIGHT
     ac, uc = a[coupled], u[coupled]
     if ac.size > _DENSE_FIBER_CAP:
@@ -467,7 +457,7 @@ def delta_identity_check(k, shape: TorusShape, d: float = 1.0, mode: str = "disc
     vanishes there).
     """
     kk = np.asarray(k, dtype=float).reshape(4)
-    a, u = _fiber_terms(kk + block_momenta(shape), 0.0, d, shape, mode, profile)
+    a, u = (x.reshape(-1) for x in _fiber_terms(fiber_momenta_at(kk, shape), 0.0, d, shape, mode, profile))
     if np.any(a == 0.0):
         raise NumericalError("excluded point: the heat symbol vanishes somewhere on this fiber (k = 0)")
     A = complex(np.sum(u * u / a))
@@ -485,8 +475,8 @@ def well_matrix(p, mu, d, shape: TorusShape, mode: str = "discrete"):
 
     continuum: [[2mu + |pvec|^2, d*p0], [-d*p0, |pvec|^2]].
     discrete: spatial stencil plus the symmetrized time-difference symbols.
-    p is four per-axis components or a (..., 4) array; shape (..., 2, 2)
-    with ... the broadcast shape of the components.
+    p is four per-axis components; shape (..., 2, 2) with ... their
+    broadcast shape.
     """
     _check_mode(mode)
     p = _components(p)
@@ -540,11 +530,11 @@ def well_fiber_dense(k, mu, d, shape: TorusShape, mode: str = "discrete", profil
     averaged inverse.
 
     Returns (fiber matrix, 2x2 averaged-inverse symbol I - Q box^-1 Q*).
-    Evaluated pointwise on the (blocks, 4) momenta k + block momenta.
+    Evaluated on the fiber :func:`blockspin.torus.fiber_momenta_at` of k.
     """
-    p = np.asarray(k, dtype=float).reshape(4) + block_momenta(shape)
-    u = averaging_symbol(p, shape, profile)
-    D = well_matrix(p, mu, d, shape, mode)
+    p = fiber_momenta_at(np.reshape(k, 4), shape)
+    u = averaging_symbol(p, shape, profile).reshape(-1)
+    D = well_matrix(p, mu, d, shape, mode).reshape(-1, 2, 2)
     coupled = np.abs(u) > _DEAD_WEIGHT
     uc = u[coupled]
     Dc = D[coupled]
@@ -686,7 +676,7 @@ def momentum_bound_report(shape: TorusShape, mu: float, d: float, mode: str = "d
     kgrid = np.asarray(pts)
     knorm = np.linalg.norm(kgrid, axis=1)
 
-    ell_all = block_momenta(shape)
+    ell_all = 2.0 * np.pi * fft_mode_grid((shape.mt, shape.mx, shape.mx, shape.mx)).reshape(-1, 4)
     nonzero = np.nonzero(np.any(ell_all != 0.0, axis=1))[0]
     pick = rng.choice(nonzero, size=min(6, len(nonzero)), replace=False)
     ells = ell_all[pick]
@@ -694,9 +684,9 @@ def momentum_bound_report(shape: TorusShape, mu: float, d: float, mode: str = "d
     # part a: momenta bounded away from zero
     pa = rng.uniform(-np.pi, np.pi, size=(200, 4))
     pa = pa[np.linalg.norm(pa, axis=1) >= 1.0]
-    ratio_a = _entry_ratios(_inv2(well_matrix(pa, mu, d, shape, mode)), _envelope(d**-2, d**-1, d**-1, 1.0))
+    ratio_a = _entry_ratios(_inv2(well_matrix(tuple(pa.T), mu, d, shape, mode)), _envelope(d**-2, d**-1, d**-1, 1.0))
 
-    Dk = well_matrix(kgrid, mu, d, shape, mode)
+    Dk = well_matrix(tuple(kgrid.T), mu, d, shape, mode)
     fb = well_symbol(kgrid, mu, d, shape, mode, profile)
     env_b = _envelope(mu / d**2 + knorm, knorm / d, mu / d + d * knorm, knorm)
     env_c = _envelope(mu / d**2 + knorm**2, knorm / d, knorm / d, knorm**2)
@@ -704,7 +694,7 @@ def momentum_bound_report(shape: TorusShape, mu: float, d: float, mode: str = "d
                       knorm / d**2 + knorm**2)
     ratio_b = ratio_d = 0.0
     for ell in ells:
-        Dkl_inv = _inv2(well_matrix(kgrid + ell[None, :], mu, d, shape, mode))
+        Dkl_inv = _inv2(well_matrix(tuple((kgrid + ell[None, :]).T), mu, d, shape, mode))
         ratio_b = max(ratio_b, _entry_ratios(Dkl_inv @ Dk, env_b))
         ratio_d = max(ratio_d, _entry_ratios(Dkl_inv @ fb, env_d))
     return {"a": ratio_a, "b": ratio_b, "c": _entry_ratios(fb, env_c), "d": ratio_d}

@@ -16,14 +16,16 @@ row i (the unit index, in [0, N)) and column j (the block index) of the
 (unit sites, blocks) fiber array of :func:`fiber_split`; its momentum is the
 symmetric fine representative of m.
 
-Momenta come in two formats.  The solvers, the block-spin step and the
-kernels of the batched symbols pass four per-axis components that broadcast
-together (:func:`fiber_momenta`, :func:`fiber_momenta_at`,
-:func:`fine_momenta`), so each one-dimensional factor of a fiber symbol is
-evaluated once per distinct angle.  The unit-lattice symbols take stacked
-(..., 4) arrays, one row per unit momentum, as does :func:`momentum_orbits`;
-the dense symbol oracles add the (blocks, 4) array of :func:`block_momenta`
-to a single unit momentum and evaluate pointwise.
+One Fourier convention serves every level: :func:`to_modes` gives the
+coefficients c with f(x) = sum_m c_m exp(i k_m . x) over the four lattice
+axes, and :func:`from_modes` inverts it; trailing axes ride along.
+
+Momenta take one format per level.  Fiber-level symbols (the averaging and
+heat symbols and the 2x2 well matrix) take four per-axis components that
+broadcast together (:func:`fiber_momenta`, :func:`fiber_momenta_at`,
+:func:`fine_momenta`), so each one-dimensional factor is evaluated once per
+distinct angle.  Unit-lattice symbols and :func:`momentum_orbits` take
+stacked (..., 4) arrays, one row per unit momentum.
 """
 
 from __future__ import annotations
@@ -296,12 +298,18 @@ def common_torus(*fields) -> TorusShape:
 # discrete Fourier transform helpers (coefficient convention)
 # ---------------------------------------------------------------------------
 
-def field_modes(f: Field) -> np.ndarray:
-    """Mode coefficients c with f(x) = sum_m c_m exp(i k_m . x).
+def to_modes(values: np.ndarray) -> np.ndarray:
+    """Mode coefficients c with f(x) = sum_m c_m exp(i k_m . x): the forward
+    transform over the leading four axes divided by their size, in numpy FFT
+    index order per axis.  Trailing axes are carried along untransformed."""
+    lattice = values.shape[:4]  # given beside axes, the extents spare numpy an np.take per call
+    return np.fft.fftn(values, lattice, (0, 1, 2, 3)) / math.prod(lattice)
 
-    Returned in numpy FFT index order per axis.
-    """
-    return np.fft.fftn(f.values) / f.sites
+
+def from_modes(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`to_modes`: the values sum_m c_m exp(i k_m . x)."""
+    lattice = coeffs.shape[:4]
+    return np.fft.ifftn(coeffs, lattice, (0, 1, 2, 3)) * math.prod(lattice)
 
 
 def negate_modes(c: np.ndarray) -> np.ndarray:
@@ -312,12 +320,6 @@ def negate_modes(c: np.ndarray) -> np.ndarray:
     """
     axes = tuple(range(c.ndim))
     return np.roll(np.flip(c, axis=axes), 1, axis=axes)
-
-
-def modes_to_field(shape: TorusShape, level: str, coeffs: np.ndarray) -> Field:
-    """Inverse of :func:`field_modes`."""
-    vals = np.fft.ifftn(coeffs) * coeffs.size
-    return Field(shape, level, vals)
 
 
 def fft_mode_grid(extents: tuple[int, int, int, int]) -> np.ndarray:
@@ -399,12 +401,13 @@ def fiber_momenta(shape: TorusShape) -> tuple[np.ndarray, ...]:
 
 
 def fiber_momenta_at(k, shape: TorusShape) -> tuple[np.ndarray, ...]:
-    """The fibers k + :func:`block_momenta` over unit momenta k (..., 4), as
-    four per-axis components.
+    """The fibers over unit momenta k (..., 4), as four per-axis components.
 
-    Component a is k[..., a] plus the block momenta of axis a along block
-    axis a of (..., mt, mx, mx, mx); a symbol evaluated on the components
-    reshapes to (..., blocks), columns row-major as in :func:`block_momenta`.
+    A fiber holds k plus the L^(5n) block momenta 2*pi*j, j the symmetric
+    representatives of the block indices.  Component a is k[..., a] plus
+    the block momenta of axis a along block axis a of (..., mt, mx, mx, mx);
+    a symbol evaluated on the components reshapes to (..., blocks), columns
+    row-major over the block indices.
     """
     k = np.asarray(k, dtype=float)
     if k.shape[-1:] != (4,):
@@ -413,12 +416,6 @@ def fiber_momenta_at(k, shape: TorusShape) -> tuple[np.ndarray, ...]:
     t, x = (2.0 * np.pi * _symmetric_range(m) for m in (shape.mt, shape.mx))
     return (k[..., 0] + t.reshape(-1, 1, 1, 1), k[..., 1] + x.reshape(-1, 1, 1),
             k[..., 2] + x.reshape(-1, 1), k[..., 3] + x)
-
-
-def block_momenta(shape: TorusShape) -> np.ndarray:
-    """The L^(5n) block momenta in radians (symmetric representatives),
-    row-major over block indices."""
-    return 2.0 * np.pi * fft_mode_grid((shape.mt, shape.mx, shape.mx, shape.mx)).reshape(-1, 4)
 
 
 def momentum_orbits(k, fold_time: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -66,16 +66,21 @@ def test_no_public_function_takes_fields_and_their_shape():
     assert both == SHAPE_BESIDE_FIELDS_ALLOWED
 
 
+def _module_trees():
+    """(module name, parsed source) of every module of the package."""
+    for info in pkgutil.iter_modules(blockspin.__path__):
+        yield info.name, ast.parse(Path(blockspin.__path__[0], f"{info.name}.py").read_text())
+
+
 def _module_functions():
     """(module.function, node) of every module-level function and method in
     the package, private ones included."""
-    for info in pkgutil.iter_modules(blockspin.__path__):
-        tree = ast.parse(Path(blockspin.__path__[0], f"{info.name}.py").read_text())
+    for module, tree in _module_trees():
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else [node]
             for item in members:
                 if isinstance(item, ast.FunctionDef):
-                    yield f"{info.name}.{item.name}", item
+                    yield f"{module}.{item.name}", item
 
 
 def test_torus_holds_the_one_orbit_reduction():
@@ -84,6 +89,24 @@ def test_torus_holds_the_one_orbit_reduction():
     sorting = {name for name, node in _module_functions() for n in ast.walk(node)
                if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in ("unique", "lexsort")}
     assert sorting == {"torus.momentum_orbits", "flow._time_plus_space_rows"}
+
+
+def _fft_uses(tree) -> int:
+    """How many nodes of ``tree`` reach an FFT module: an attribute named fft
+    (np.fft, scipy.fft) or an import naming one."""
+    def imported(n):
+        names = [a.name for a in n.names] + ([n.module] if isinstance(n, ast.ImportFrom) and n.module else [])
+        return any("fft" in name.split(".") for name in names)
+    return sum(1 for n in ast.walk(tree) if (isinstance(n, ast.Attribute) and n.attr == "fft")
+               or (isinstance(n, (ast.Import, ast.ImportFrom)) and imported(n)))
+
+
+def test_torus_holds_the_one_transform():
+    # one Fourier convention: every transform of the package runs through the
+    # torus pair (tests may still call np.fft as independent references)
+    inside = {name: _fft_uses(node) for name, node in _module_functions() if _fft_uses(node)}
+    assert set(inside) == {"torus.to_modes", "torus.from_modes"}
+    assert sum(_fft_uses(tree) for _, tree in _module_trees()) == sum(inside.values())
 
 
 def test_every_mode_defaults_to_discrete():

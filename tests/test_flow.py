@@ -48,7 +48,8 @@ def test_heat_minus_mu_grid_is_heat_symbol(ext):
     shape = make_shape(0, 3, ext[0], ext[1])
     k = radians_for_modes(shape, fft_mode_grid(ext))
     grid = QuadraticAction.from_heat_minus_mu(ext, mu=0.3, d=2.5).symbol_grid
-    np.testing.assert_allclose(grid, heat_symbol(k, shape, 2.5, "discrete") - 0.3, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grid, heat_symbol(tuple(np.moveaxis(k, -1, 0)), shape, 2.5, "discrete") - 0.3,
+                               rtol=0, atol=1e-12)
 
 
 def test_heat_minus_mu_grid_on_non_cubic_extents():
@@ -170,6 +171,39 @@ def test_step_massless_fixed_point_small_momenta():
     lhs = 1.0 / out2.symbol_grid[live]
     rhs = 1.0 / a2 - 1.0 + 1.0 / zf2[live]
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+def _unit_symbol(shape, mu, d, profile=SHARP):
+    """zero_field_symbol over every unit momentum of ``shape``, in FFT order."""
+    k = radians_for_modes(shape, fft_mode_grid(shape.unit_extents))
+    return zero_field_symbol(k, mu, d, shape, "discrete", profile)
+
+
+@given(st.sampled_from([(3, 3), (9, 3), (3, 9), (27, 9)]), st.floats(0.0, 0.5), st.floats(1.0, 3.0),
+       st.sampled_from([SHARP, SMOOTH]))
+@example((27, 9), 0.5, 1.0, SMOOTH)  # the full (243,27,27,27) input at the window's top
+def test_step_of_heat_minus_mu_is_zero_field_symbol(out_dims, mu, d, profile):
+    # the chain's closed form at any mass: one step of the heat action minus mu is
+    # the scale-1 zero-field symbol at mass L^2 mu, over the output's unit momenta
+    out = make_shape(1, 3, *out_dims)
+    act = QuadraticAction.from_heat_minus_mu((9 * out.Nt,) + (3 * out.Nx,) * 3, mu, d)
+    got = block_spin_step(act, 3, profile).symbol_grid
+    want = _unit_symbol(out, 9.0 * mu, d, profile)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@given(st.floats(0.0, 0.5), st.floats(1.0, 3.0))
+def test_two_sharp_steps_of_heat_minus_mu_follow_the_running_prefactor(mu, d):
+    # (243,27,27,27) -> (27,9,9,9) -> (3,3,3,3): 1/out = 1/a_2 - 1 + 1/zero_field_symbol
+    # on the scale-2 torus at mass L^4 mu; a pole row of the symbol maps to 0 in both
+    act = QuadraticAction.from_heat_minus_mu((243, 27, 27, 27), mu, d)
+    got = block_spin_step(block_spin_step(act, 3), 3).symbol_grid
+    zf = _unit_symbol(make_shape(2, 3, 3, 3), 81.0 * mu, d)
+    a2 = flow_params_at(2, 1e-5, 1e-5, 3).a
+    live = zf != 0.0
+    want = np.zeros_like(zf)
+    want[live] = 1.0 / (1.0 / a2 - 1.0 + 1.0 / zf[live])
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("profile", [SHARP, SMOOTH], ids=["sharp", "smooth"])
@@ -671,7 +705,9 @@ def test_run_flow_row_count_and_ratios():
     for i in range(1, len(trace)):
         ratio = trace[i].params.mu / trace[i - 1].params.mu
         assert 0.9 * 9 <= ratio <= 1.1 * 9
-    assert all(row.classifier == "parabolic" for row in trace)
+    # every row below the default stop_mu = 0.5; the trace ends at its last admissible scale
+    assert all(row.params.mu < 0.5 for row in trace)
+    assert [row.stop for row in trace] == [None] * 4 + ["max_steps"]
 
 
 def test_run_flow_closed_form_geometry_ratios():
@@ -688,7 +724,8 @@ def test_run_flow_stops_at_mu_threshold():
     # includes the crossing row and stops
     assert trace[-1].params.mu >= 0.5
     assert len(trace) == 4
-    assert trace[-1].classifier == "transitional"
+    assert all(row.params.mu < 0.5 for row in trace[:-1])
+    assert trace[-1].stop == "stop_mu"
 
 
 def test_flow_params_at_kappa_step_ratio_exact():
@@ -710,8 +747,7 @@ def _rebuilt_trace(mu0, v0, L, steps, stop_mu, renormalize):
                 mu = renormalize_mu(params)
             except NumericalError as exc:
                 stop = f"renormalize_mu: {exc}"
-        rows.append(FlowStep(params, well.radius, well.depth, "parabolic" if params.mu < stop_mu else "transitional",
-                             stop))
+        rows.append(FlowStep(params, well.radius, well.depth, stop))
         if stop is not None:
             break
     return rows
@@ -761,13 +797,26 @@ def test_cli_flow_prints_one_json_row_per_trace_row(capsys, argv, kwargs):
     for row, step in zip(rows, trace):
         assert row == {"n": step.params.n, "mu": step.params.mu, "v": step.params.v, "a": step.params.a,
                        "well_radius": step.well_radius, "well_depth_per_site": step.well_depth_per_site,
-                       "classifier": step.classifier, "stop": step.stop}
+                       "stop": step.stop}
     assert rows[-1]["stop"] == trace[-1].stop is not None
+
+
+@pytest.mark.parametrize("args, renormalize", [
+    ((1e160, 1e-5), True),  # mu0**2 overflows
+    ((1e150, 1e-10), False),  # the well depth is -inf
+    ((1e-300, 1e-300), False),  # v underflows to 0 before the last row
+])
+def test_run_flow_raises_on_a_row_out_of_floating_point_range(args, renormalize):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the window warning
+        with pytest.raises(NumericalError, match=r"flow row \d+ leaves the floating-point range"):
+            run_flow(*args, 3, make_shape(0, 3, 9, 3), renormalize=renormalize)
 
 
 @pytest.mark.parametrize("mu0, v0, message", [
     ("1e-5", "2.0", "v0 must lie in (0, 1]"),
-    ("1e160", "1e-5", "overflows the floating-point range"),  # mu0**2 overflows
+    ("0.5", "2e-309", "1/v0 overflows"),  # a subnormal v0
+    ("1e160", "1e-5", "flow row 0 leaves the floating-point range"),  # mu0**2 overflows
     ("1e150", "1e-10", "leaves the floating-point range"),  # the well depth is -inf
 ])
 def test_cli_rejects_bad_inputs_with_usage_status(capsys, mu0, v0, message):

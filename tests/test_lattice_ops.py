@@ -24,9 +24,9 @@ from blockspin.torus import (
     TorusShape,
     fiber_momenta,
     fiber_split,
-    field_modes,
     inner_product,
     make_shape,
+    to_modes,
 )
 from blockspin.symbols import averaging_symbol, commutator_average_norm
 
@@ -216,10 +216,9 @@ def test_fine_average_momentum_action_matches_symbol():
     s = make_shape(1, 3, 2, 2)
     f = Field.random(s, "fine", rng)
     out = fine_average(f, SHARP)
-    out_modes = field_modes(out).reshape(-1)
-    fib = fiber_split(field_modes(f), s)
-    p = np.stack(np.broadcast_arrays(*fiber_momenta(s)), axis=-1).reshape(s.sites("unit"), -1, 4)
-    expect = np.sum(averaging_symbol(p, s, SHARP) * fib, axis=1)
+    out_modes = to_modes(out.values).reshape(-1)
+    fib = fiber_split(to_modes(f.values), s)
+    expect = np.sum(averaging_symbol(fiber_momenta(s), s, SHARP).reshape(fib.shape) * fib, axis=1)
     np.testing.assert_allclose(out_modes, expect, atol=1e-10)
 
 

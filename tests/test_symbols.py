@@ -30,8 +30,13 @@ from blockspin.symbols import (
     zero_field_symbol,
     zero_field_symbol_dense,
 )
-from blockspin.torus import (Field, LatticeError, block_momenta, fft_mode_grid, fiber_momenta, fiber_momenta_at,
-                             make_shape, radians_for_modes)
+from blockspin.torus import (Field, LatticeError, fft_mode_grid, fiber_momenta, fiber_momenta_at, make_shape,
+                             radians_for_modes)
+
+
+def _block_momenta(shape):
+    """The (blocks, 4) block momenta 2*pi*j, rows row-major over the block indices."""
+    return 2.0 * np.pi * fft_mode_grid((shape.mt, shape.mx, shape.mx, shape.mx)).reshape(-1, 4)
 
 
 def direct_profile_transform(p, shape, profile):
@@ -50,8 +55,8 @@ def direct_profile_transform(p, shape, profile):
 def test_averaging_symbol_normalized_at_zero():
     for n in (0, 1, 2):
         s = make_shape(n, 3, 2, 2)
-        assert averaging_symbol(np.zeros(4), s, SHARP) == pytest.approx(1.0)
-        assert averaging_symbol(np.zeros(4), s, SMOOTH) == pytest.approx(1.0)
+        assert averaging_symbol((0.0,) * 4, s, SHARP) == pytest.approx(1.0)
+        assert averaging_symbol((0.0,) * 4, s, SMOOTH) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("profile", [SHARP, SMOOTH])
@@ -60,7 +65,7 @@ def test_averaging_symbol_matches_direct_sum(profile):
     s = make_shape(1, 3, 2, 2)
     for _ in range(20):
         p = rng.uniform(-3.0, 3.0, size=4)
-        got = averaging_symbol(p, s, profile)
+        got = averaging_symbol(tuple(p), s, profile)
         want = direct_profile_transform(p, s, profile)
         assert abs(got - want.real) < 1e-10
         assert abs(want.imag) < 1e-12  # even profile: real transform
@@ -70,7 +75,7 @@ def test_averaging_symbol_nonzero_block_momentum_bound():
     # |u(k+l)| <= prod_{l_nu != 0} |k_nu| * prod_nu 24/(|l_nu| + pi), l != 0
     for n in (1, 2):
         s = make_shape(n, 3, 2, 2)
-        ell = block_momenta(s)
+        ell = _block_momenta(s)
         ell = ell[np.any(ell != 0.0, axis=1)]
         rng = np.random.default_rng(1)
         ell = ell[rng.choice(len(ell), size=min(200, len(ell)), replace=False)]
@@ -78,7 +83,7 @@ def test_averaging_symbol_nonzero_block_momentum_bound():
         for k0 in kvals:
             for k1 in kvals:
                 k = np.array([k0, k1, 0.0, np.pi / 3])
-                u = np.abs(averaging_symbol(k[None, :] + ell, s, SHARP))
+                u = np.abs(averaging_symbol(tuple((k[None, :] + ell).T), s, SHARP))
                 bound = np.ones(len(ell))
                 for nu in range(4):
                     lnz = ell[:, nu] != 0.0
@@ -148,11 +153,11 @@ def test_zero_field_symbol_singular_resolvent_raises():
     s = make_shape(1, 3, 2, 2)
     # mu exactly on a decoupled fiber value: heat symbol at a momentum with
     # vanishing averaging weight
-    ell = block_momenta(s)
+    ell = _block_momenta(s)
     k = np.array([0.0, 0.0, 0.0, 0.0])
     p = k + ell[5]
-    u = averaging_symbol(p, s, SHARP)
-    mu = complex(heat_symbol(p, s, 1.0, "discrete"))
+    u = averaging_symbol(tuple(p), s, SHARP)
+    mu = complex(heat_symbol(tuple(p), s, 1.0, "discrete"))
     if abs(u) < 1e-12 and abs(mu.imag) < 1e-15:
         with pytest.raises(NumericalError):
             zero_field_symbol(k, mu.real, 1.0, s, "discrete")
@@ -244,7 +249,7 @@ def test_delta_identity_excluded_point():
 def test_well_matrix_continuum_form():
     s = make_shape(1, 3, 2, 2)
     p = np.array([0.3, 0.1, -0.2, 0.05])
-    M = well_matrix(p, 2.0, 3.0, s, "continuum")
+    M = well_matrix(tuple(p), 2.0, 3.0, s, "continuum")
     sp = np.sum(p[1:] ** 2)
     np.testing.assert_allclose(M, [[4.0 + sp, 3.0 * p[0]], [-3.0 * p[0], sp]], atol=1e-14)
 
@@ -255,8 +260,8 @@ def test_well_matrix_discrete_reduces_to_continuum():
     errs = []
     for n in (1, 2, 3):
         s = make_shape(n, 3, 2, 2)
-        M = well_matrix(p, mu, d, s, "discrete")
-        C = well_matrix(p, mu, d, s, "continuum")
+        M = well_matrix(tuple(p), mu, d, s, "discrete")
+        C = well_matrix(tuple(p), mu, d, s, "continuum")
         errs.append(np.max(np.abs(M - C)))
     assert errs[2] < errs[1] < errs[0]
 
@@ -385,26 +390,28 @@ def _stacked(components):
 @pytest.mark.parametrize("L", [3, 5])
 @pytest.mark.parametrize("dims", [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3)])
 def test_per_axis_components_match_stacked_momenta(dims, L, profile):
-    # every fast path passes four per-axis components; the same symbols on the
-    # materialized (..., 4) array must agree bit for bit
+    # every fast path passes four per-axis components that broadcast; the same
+    # symbols on the materialized full-size components must agree bit for bit
     s = make_shape(1, L, *dims)
     k = np.vstack([np.zeros(4), np.random.default_rng(L * 10 + dims[0]).uniform(-7.0, 7.0, (3, 4))])
     for comps in (fiber_momenta(s), fiber_momenta_at(k, s)):
-        p = _stacked(comps)
+        p = tuple(np.moveaxis(_stacked(comps), -1, 0))
         u = averaging_symbol(comps, s, profile)
         assert u.flags.c_contiguous  # so the fiber rows are a reshape, not a copy
         assert np.array_equal(u, averaging_symbol(p, s, profile))
         for mode in ("discrete", "continuum"):
             assert np.array_equal(heat_symbol(comps, s, 2.5, mode), heat_symbol(p, s, 2.5, mode))
             assert np.array_equal(well_matrix(comps, 0.3, 2.5, s, mode), well_matrix(p, 0.3, 2.5, s, mode))
-    # arbitrary k: the fibers are k + block_momenta, columns in its row order
+    # arbitrary k: the fibers are k plus the block momenta, columns in their row order
     p = _stacked(fiber_momenta_at(k, s)).reshape(len(k), -1, 4)
-    assert np.array_equal(p, k[:, None, :] + block_momenta(s))
+    assert np.array_equal(p, k[:, None, :] + _block_momenta(s))
 
 
 def test_symbols_reject_malformed_momenta():
     s = make_shape(1, 3, 1, 1)
-    bad = [np.zeros((5, 3)), (np.zeros(2), np.zeros(2), np.zeros(2)), (np.zeros(2), np.zeros(3), 0.0, 0.0)]
+    # a stacked (..., 4) array is the unit-lattice format, not the fiber-level one
+    bad = [np.zeros((5, 3)), np.zeros((5, 4)), (np.zeros(2), np.zeros(2), np.zeros(2)),
+           (np.zeros(2), np.zeros(3), 0.0, 0.0)]
     for p in bad:
         for evaluate in (lambda p: averaging_symbol(p, s), lambda p: heat_symbol(p, s), lambda p: well_matrix(p, 0.1, 1.0, s)):
             with pytest.raises(LatticeError):

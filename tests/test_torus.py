@@ -10,12 +10,12 @@ from blockspin.torus import (
     fiber_merge,
     fiber_momenta,
     fiber_split,
-    field_modes,
+    from_modes,
     inner_product,
     make_shape,
-    modes_to_field,
     negate_modes,
     radians_for_modes,
+    to_modes,
 )
 
 
@@ -135,7 +135,7 @@ def test_fine_dual_is_unit_plus_block():
 def test_plane_wave_dft_is_single_spike():
     s = make_shape(0, 3, 4, 4)
     f = Field.plane_wave(s, "unit", (1, 2, 0, 3))
-    c = field_modes(f)
+    c = to_modes(f.values)
     idx = np.unravel_index(np.argmax(np.abs(c)), c.shape)
     assert idx == (1, 2, 0, 3)
     assert c[idx] == pytest.approx(1.0)
@@ -148,8 +148,11 @@ def test_modes_roundtrip():
     rng = np.random.default_rng(3)
     s = make_shape(1, 3, 2, 2)
     f = Field.random(s, "fine", rng)
-    g = modes_to_field(s, "fine", field_modes(f))
-    np.testing.assert_allclose(g.values, f.values, atol=1e-12)
+    np.testing.assert_allclose(from_modes(to_modes(f.values)), f.values, atol=1e-12)
+    # trailing axes ride along untransformed: a stacked pair is two transforms
+    pair = np.stack([f.values, 2.0 * f.values], axis=-1)
+    np.testing.assert_allclose(to_modes(pair)[..., 1], 2.0 * to_modes(f.values), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(from_modes(to_modes(pair)), pair, atol=1e-12)
 
 
 def test_parseval_bilinear_all_levels():
@@ -159,7 +162,7 @@ def test_parseval_bilinear_all_levels():
         a = Field.random(s, level, rng)
         b = Field.random(s, level, rng)
         direct = inner_product(a, b)
-        ca, cb = field_modes(a), field_modes(b)
+        ca, cb = to_modes(a.values), to_modes(b.values)
         # pair mode m with -m
         spectral = s.weight(level) * a.sites * np.sum(ca * negate_modes(cb))
         assert abs(direct - spectral) / max(abs(direct), 1e-30) < 1e-10
@@ -169,7 +172,7 @@ def test_fiber_split_merge_roundtrip():
     rng = np.random.default_rng(5)
     s = make_shape(1, 3, 2, 2)
     f = Field.random(s, "fine", rng)
-    c = field_modes(f)
+    c = to_modes(f.values)
     fib = fiber_split(c, s)
     assert fib.shape == (16, 243)
     np.testing.assert_allclose(fiber_split(c, s), fib)
@@ -202,7 +205,7 @@ def test_fiber_momenta_match_split_indexing():
         s = make_shape(*dims)
         p = np.stack(np.broadcast_arrays(*fiber_momenta(s)), axis=-1).reshape(s.sites("unit"), -1, 4)
         f = Field.plane_wave(s, "fine", modes)
-        fib = fiber_split(field_modes(f), s)
+        fib = fiber_split(to_modes(f.values), s)
         row = int(np.argmax(np.abs(fib).sum(axis=1)))
         col = int(np.argmax(np.abs(fib[row])))
         assert row == np.ravel_multi_index(unit_index, s.unit_extents)
