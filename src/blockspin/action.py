@@ -11,6 +11,8 @@ background fields (phi_star, phi) is
 with Q the fine box average.  The block-spin prefactor multiplying the first
 term is a = 1 here, the per-step weight of ``flow.block_spin_step``; the
 running prefactor a_n that a chain of steps builds up is ``FlowParams.a``.
+The quadratic forms approximate this action to second order, so they use
+its discrete symbols, as the action and the spectrum do.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import scipy.linalg
 
 from .background import ModelParams, _FiberOperator, solve_constant
 from .lattice_ops import SHARP, AveragingProfile, apply_heat, fine_average
-from .symbols import _DEAD_WEIGHT, _pole_rows, _singular_row, well_symbol, zero_field_symbol
+from .symbols import _dense_core, _pole_rows, _singular_row, well_symbol, zero_field_symbol
 from .torus import (
     Field,
     FieldPair,
@@ -172,7 +174,7 @@ def well_geometry(flow) -> WellGeometry:
 # quadratic approximations
 # ---------------------------------------------------------------------------
 
-def zero_field_quadratic_form(psi_pair: FieldPair, params: ModelParams, mode: str = "discrete",
+def zero_field_quadratic_form(psi_pair: FieldPair, params: ModelParams,
                               profile: AveragingProfile = SHARP) -> complex:
     """<psi_star, (effective quadratic kernel around zero field) psi>_0.
 
@@ -183,7 +185,7 @@ def zero_field_quadratic_form(psi_pair: FieldPair, params: ModelParams, mode: st
     if psi_pair.level != "unit":
         raise LatticeError("quadratic form takes unit-level fields")
     k = radians_for_modes(shape, fft_mode_grid(shape.unit_extents))
-    sigma = zero_field_symbol(k.reshape(-1, 4), params.mu, params.d, shape, mode, profile).reshape(
+    sigma = zero_field_symbol(k.reshape(-1, 4), params.mu, params.d, shape, profile=profile).reshape(
         shape.unit_extents
     )
     c_star = negate_modes(to_modes(psi_pair.starred.values))
@@ -191,7 +193,7 @@ def zero_field_quadratic_form(psi_pair: FieldPair, params: ModelParams, mode: st
     return complex(psi_pair.plain.sites * np.sum(c_star * sigma * c_plain))
 
 
-def well_quadratic_form(R: Field, Theta: Field, params: ModelParams, mode: str = "discrete",
+def well_quadratic_form(R: Field, Theta: Field, params: ModelParams,
                         profile: AveragingProfile = SHARP) -> complex:
     """Quadratic form of the well kernel on radial/tangential data, plus the
     constant well-bottom term -(radius^2 v / 2) <1,1>_n.
@@ -205,7 +207,7 @@ def well_quadratic_form(R: Field, Theta: Field, params: ModelParams, mode: str =
     if R.level != "unit" or Theta.level != "unit":
         raise LatticeError("well form takes unit-level fields")
     k = radians_for_modes(shape, fft_mode_grid(shape.unit_extents)).reshape(-1, 4)
-    sigma = well_symbol(k, params.mu, params.d, shape, mode, profile)
+    sigma = well_symbol(k, params.mu, params.d, shape, profile=profile)
     cR, cT = to_modes(R.values), to_modes(Theta.values)
     cRn, cTn = negate_modes(cR).reshape(-1), negate_modes(cT).reshape(-1)
     cR, cT = cR.reshape(-1), cT.reshape(-1)
@@ -236,19 +238,16 @@ def _distance_to_negative_axis(lams: np.ndarray) -> np.ndarray:
     return np.where(x > 0, np.hypot(x, y), np.abs(y))
 
 
-#: the largest coupled fiber core the spectrum decomposes densely
-_SPECTRUM_CAP = 2500
-
-
 def fluctuation_spectrum(params: ModelParams, shape: TorusShape, profile: AveragingProfile = SHARP) -> SpectrumReport:
     """Exact spectrum of (averaging mass + heat - mu) over momentum fibers.
 
     Per unit momentum the fiber matrix is diag(heat - mu) plus the rank-one
-    averaging coupling u u^T, on the linear solvers' fiber data.  Entries with vanishing averaging weight
-    decouple exactly; the coupled core is handled densely, including the
-    principal square root of its inverse (the fluctuation covariance) and
-    the verification that the square root's spectrum lies in the open right
-    half-plane.  The fiber data pass the solvers' pole rule first
+    averaging coupling u u^T, on the solvers' fiber data.  Entries with
+    vanishing averaging weight decouple exactly; the coupled core, formed as
+    for the zero-field oracle (:func:`blockspin.symbols._dense_core`), is
+    handled densely, including the principal square root of its inverse
+    (the fluctuation covariance) and the verification that the square
+    root's spectrum lies in the open right half-plane.  The fiber data pass the solvers' pole rule first
     (:func:`blockspin.symbols._pole_rows`), so a vanishing decoupled entry
     raises :class:`NumericalError` naming the fiber row, as the solvers do;
     a single pole with live averaging weight sits in the coupled core.  A
@@ -261,7 +260,7 @@ def fluctuation_spectrum(params: ModelParams, shape: TorusShape, profile: Averag
     sqrt_resid = 0.0
     sqrt_rhp = True
     for row, (u, a) in enumerate(zip(fiber.u, fiber.a_plain)):
-        coupled = np.abs(u) > _DEAD_WEIGHT
+        coupled, M = _dense_core(a, u)
         a_dec = a[~coupled]
         eigs_all.append(a_dec)
         # decoupled covariance entries are 1/a; principal scalar square roots
@@ -270,14 +269,8 @@ def fluctuation_spectrum(params: ModelParams, shape: TorusShape, profile: Averag
             droot = np.sqrt(cov_dec)
             sqrt_resid = max(sqrt_resid, float(np.max(np.abs(droot**2 - cov_dec))) / max(1.0, float(np.max(np.abs(cov_dec)))))
             sqrt_rhp = sqrt_rhp and bool(np.all(droot.real > 0))
-        ac, uc = a[coupled], u[coupled]
-        if ac.size == 0:
+        if not M.size:
             continue
-        if ac.size > _SPECTRUM_CAP:
-            raise LatticeError(
-                f"coupled fiber of size {ac.size} exceeds the dense spectral cap {_SPECTRUM_CAP}"
-            )
-        M = np.diag(ac) + np.outer(uc, uc)
         eigs_all.append(np.linalg.eigvals(M))
         try:
             cov = np.linalg.inv(M)

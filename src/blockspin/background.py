@@ -12,15 +12,18 @@ rank-one kernel :func:`blockspin.symbols.fiber_resolvent`), the
 linearization around the well bottom (the 2x2 Woodbury kernel
 :func:`blockspin.symbols.well_resolvent`), and damped Newton on the full
 nonlinear system with the exact Jacobian (dense at small sizes, GMRES
-preconditioned by the rank-one kernel above).  Both kernels follow the
-symbols module's pole rule: a fiber row may hold at most one zero of its
-diagonal, with live averaging weight; any other pattern raises
-:class:`NumericalError` naming the row.  A field reaches its fibers through
-the one transform pair of :mod:`blockspin.torus` (:func:`to_modes`, then
-:func:`fiber_split`, and back through :func:`fiber_merge` and
-:func:`from_modes`).  The fiber data (averaging weights u, diagonals a or D)
-are the elementary symbols on the per-axis components of
-:func:`fiber_momenta`, reshaped to (unit sites, blocks) rows.
+preconditioned by the rank-one kernel above).  All of them run the discrete
+lattice model; the continuum pretend is a comparison of the symbols only.
+Both kernels follow the symbols module's pole rule: a fiber row may hold at
+most one zero of its diagonal, with live averaging weight; any other pattern
+raises :class:`NumericalError` naming the row.  A field reaches its fibers
+through the one transform pair of :mod:`blockspin.torus` (:func:`to_modes`,
+then :func:`fiber_split`, and back through :func:`fiber_merge` and
+:func:`from_modes`).  Newton, the linear and well solves and the spectrum
+read one set of fiber data, :class:`_FiberOperator`: the averaging weights
+u, the diagonals a and the well's 2x2 blocks D, the elementary symbols on
+the per-axis components of :func:`fiber_momenta`, reshaped to (unit sites,
+blocks) rows.
 
 Newton's Jacobian, its GMRES matvec and its preconditioner use the fiber
 form diag(a) + u u^T.  The residuals apply the operator another way, so
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as la
@@ -168,15 +172,27 @@ def solve_constant(psi: float, params: ModelParams) -> list[float]:
 
 class _FiberOperator:
     """Cached fiber data for (averaging + heat - mu) at one parameter set:
-    diag(a) + u u^T on every fiber row, a = a_plain (a_star for heat^T)."""
+    diag(a) + u u^T on every fiber row, a = a_plain (a_star for heat^T),
+    and the well operator's blockdiag(D) + (u x I)(u x I)^T.  The diagonals
+    a and D are formed on first use: the well solve reads only D."""
 
     def __init__(self, shape: TorusShape, params: ModelParams, profile: AveragingProfile = SHARP):
-        self.shape = shape
-        p = fiber_momenta(shape)
-        rows = (shape.sites("unit"), -1)
-        self.u = averaging_symbol(p, shape, profile).reshape(rows)
-        self.a_plain = (heat_symbol(p, shape, params.d, "discrete") - params.mu).reshape(rows)
-        self.a_star = self.a_plain.conj()  # heat^T has the conjugate symbol; mu is real
+        self.shape, self.params = shape, params
+        self.momenta = fiber_momenta(shape)
+        self.u = averaging_symbol(self.momenta, shape, profile).reshape(shape.sites("unit"), -1)
+
+    @cached_property
+    def a_plain(self) -> np.ndarray:
+        return (heat_symbol(self.momenta, self.shape, self.params.d) - self.params.mu).reshape(self.u.shape)
+
+    @cached_property
+    def a_star(self) -> np.ndarray:
+        return self.a_plain.conj()  # heat^T has the conjugate symbol; mu is real
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        """The well matrix's 2x2 blocks, (rows, blocks, 2, 2)."""
+        return well_matrix(self.momenta, self.params.mu, self.params.d, self.shape).reshape(self.u.shape + (2, 2))
 
     def _on_fibers(self, values: np.ndarray, fiber_map) -> np.ndarray:
         """Apply ``fiber_map`` to the (U, B) fiber array of a fine field's mode coefficients."""
@@ -254,49 +270,47 @@ def solve_linear(psi_pair: FieldPair, params: ModelParams, profile: AveragingPro
 _WELL_RESIDUAL_TOL = 1e-10
 
 
-def solve_well_linear(R: Field, Theta: Field, params: ModelParams, mode: str = "discrete",
+def solve_well_linear(R: Field, Theta: Field, params: ModelParams,
                       profile: AveragingProfile = SHARP) -> tuple[Field, Field]:
     """Solve the linearized radial/tangential system per momentum fiber.
 
     Returns (X, H) with  welloperator [X; H] = average_adjoint [R; Theta],
     on the torus of R and Theta (two tori raise :class:`LatticeError`);
     the well operator couples the two components through the 2x2 matrix
-    symbol plus the averaging mass.  The residual of the solved system is
+    symbol plus the averaging mass, whose fiber data u and D are those of
+    :class:`_FiberOperator`.  The residual of the solved system is
     verified against a full-grid application of the operator.
     """
     shape = common_torus(R, Theta)
     if R.level != "unit" or Theta.level != "unit":
         raise LatticeError("radial/tangential data live on the unit lattice")
+    fiber = _FiberOperator(shape, params, profile)
     w = to_modes(np.stack([R.values, Theta.values], axis=-1)).reshape(-1, 2)
-    p = fiber_momenta(shape)
-    rows = (shape.sites("unit"), -1)
-    u = averaging_symbol(p, shape, profile).reshape(rows)
-    D = well_matrix(p, params.mu, params.d, shape, mode).reshape(rows + (2, 2))
-    _, c = well_resolvent(D, u, w)
+    _, c = well_resolvent(fiber.D, fiber.u, w)
     XH = from_modes(fiber_merge(c, shape))
     X, H = Field(shape, "fine", XH[..., 0]), Field(shape, "fine", XH[..., 1])
-    resid = _well_residual(X, H, R, Theta, params, mode, profile)
+    resid = _well_residual(X, H, R, Theta, params, profile)
     scale = max(1.0, float(np.max(np.abs(R.values))), float(np.max(np.abs(Theta.values))))
     if not resid <= _WELL_RESIDUAL_TOL * scale:  # a NaN residual fails too
         raise NumericalError(f"well solve residual {resid:.3e} exceeds {_WELL_RESIDUAL_TOL:g}")
     return X, H
 
 
-def apply_well_operator(X: Field, H: Field, params: ModelParams, mode: str = "discrete",
+def apply_well_operator(X: Field, H: Field, params: ModelParams,
                         profile: AveragingProfile = SHARP) -> tuple[np.ndarray, np.ndarray]:
     """Full-grid application of the 2x2 well operator plus averaging mass
     on the torus of X and H (two tori raise :class:`LatticeError`), over the
     fine mode grid (:func:`fine_momenta`), not the solve's fibers."""
     shape = common_torus(X, H)
-    D = well_matrix(fine_momenta(shape), params.mu, params.d, shape, mode)
+    D = well_matrix(fine_momenta(shape), params.mu, params.d, shape)
     cX, cH = to_modes(X.values), to_modes(H.values)
     outX = from_modes(D[..., 0, 0] * cX + D[..., 0, 1] * cH) + _direct_operator(X, profile)
     outH = from_modes(D[..., 1, 0] * cX + D[..., 1, 1] * cH) + _direct_operator(H, profile)
     return outX, outH
 
 
-def _well_residual(X, H, R, Theta, params, mode, profile) -> float:
-    outX, outH = apply_well_operator(X, H, params, mode, profile)
+def _well_residual(X, H, R, Theta, params, profile) -> float:
+    outX, outH = apply_well_operator(X, H, params, profile)
     rhsX = fine_average_adjoint(R, profile).values
     rhsH = fine_average_adjoint(Theta, profile).values
     return float(max(np.max(np.abs(outX - rhsX)), np.max(np.abs(outH - rhsH))))
@@ -359,7 +373,6 @@ def _seed_fields(psi_pair, params, profile, strategy, fiber, psi_rhs):
             Field(fiber.shape, "unit", Rv.astype(complex)),
             Field(fiber.shape, "unit", Tv.astype(complex)),
             params,
-            mode="discrete",
             profile=profile,
         )
         phi = r * np.exp(X.values + 1j * H.values)

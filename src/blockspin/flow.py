@@ -83,7 +83,6 @@ class FlowParams:
     a: float
     kappa: float
     kappa_prime: float
-    eps: float
     mu0: float
     v0: float
 
@@ -122,32 +121,33 @@ def _warn_outside_window(mu0: float, v0: float) -> None:
         warnings.warn(f"initial chemical potential {mu0:.3g} outside the admissible window ({lo:.3g}, {hi:.3g})")
 
 
-_EPS = 0.01  # the default margin eps of the field radii's exponent -1/3 + eps
+_EPS = 0.01  # the margin eps of the field radii's exponent -1/3 + eps
 
 
-def flow_params_at(n: int, mu0: float, v0: float, L: int, eps: float = _EPS,
-                   mu_override: float | None = None) -> FlowParams:
+def flow_params_at(n: int, mu0: float, v0: float, L: int) -> FlowParams:
     """Running couplings at scale n from the closed-form leading flow.
 
-    mu_n = L^(2n) mu0 (or the supplied override from a renormalized trace),
-    v_n = v0 / L^n, the block prefactor from its closed form, and the field
-    radii L^(3n/4) v0^(-1/3+eps) and L^(3n/8) v0^(-1/3+eps).  Initial data
-    outside the admissible window only warns; v0 outside (0, 1], or L not an
-    integer >= 2, raises (:func:`max_steps`).
+    mu_n = L^(2n) mu0, v_n = v0 / L^n, the block prefactor from its closed
+    form, and the field radii L^(3n/4) v0^(-1/3+eps) and L^(3n/8)
+    v0^(-1/3+eps) with eps = 0.01.  Initial data outside the admissible
+    window only warns; a scale index n that is not an integer >= 0 (a bool
+    included), v0 outside (0, 1], or L not an integer >= 2 raises
+    :class:`LatticeError` (:func:`max_steps` checks v0 and L).
     """
-    if n < 0:
-        raise LatticeError("scale index must be nonnegative")
+    if not _is_integer(n) or n < 0:
+        raise LatticeError(f"scale index n must be an integer >= 0, got {n!r}")
     n_max = max_steps(v0, L)
     _warn_outside_window(mu0, v0)
     if n > n_max:
         warnings.warn(f"scale {n} beyond the admissible number of steps {n_max}")
-    return _couplings(n, mu0, v0, L, eps, mu_override)
+    return _couplings(n, mu0, v0, L, None)
 
 
-def _couplings(n: int, mu0: float, v0: float, L: int, eps: float, mu_override: float | None) -> FlowParams:
-    """:func:`flow_params_at`'s couplings without its checks and warnings."""
-    mu = float(mu_override) if mu_override is not None else float(L ** (2 * n)) * mu0
-    radius_base = v0 ** (-1.0 / 3.0 + eps)
+def _couplings(n: int, mu0: float, v0: float, L: int, mu: float | None) -> FlowParams:
+    """:func:`flow_params_at`'s couplings without its checks and warnings, at
+    the renormalized chemical potential ``mu`` (None: the closed form L^(2n) mu0)."""
+    mu = float(L ** (2 * n)) * mu0 if mu is None else float(mu)
+    radius_base = v0 ** (-1.0 / 3.0 + _EPS)
     return FlowParams(
         n=n,
         L=L,
@@ -156,7 +156,6 @@ def _couplings(n: int, mu0: float, v0: float, L: int, eps: float, mu_override: f
         a=_block_prefactor(n, L),
         kappa=float(L) ** (0.75 * n) * radius_base,
         kappa_prime=float(L) ** (0.375 * n) * radius_base,
-        eps=eps,
         mu0=mu0,
         v0=v0,
     )
@@ -174,7 +173,8 @@ class QuadraticAction:
     order (translation invariance is built in by the representation), held
     as ``terms`` in one of two forms: a grid, one complex array shaped
     ``extents``; or a (time, space) pair shaped (Nt, 1, 1, 1) and (1, Nx,
-    Ny, Nz), whose sum is the symbol.  Any other tuple raises
+    Ny, Nz), whose sum is the symbol.  Any other tuple, extents that are not
+    four positive integers, or a term with a non-finite entry raises
     :class:`LatticeError`.  An array passed in place of the tuple is one
     term, so QuadraticAction(extents, grid) holds that grid.
     :func:`block_spin_step` steps a pair on its time-plus-space path and a
@@ -186,6 +186,8 @@ class QuadraticAction:
     terms: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        if len(self.extents) != 4 or not all(_is_integer(N) and N > 0 for N in self.extents):
+            raise LatticeError(f"extents must be four positive integers, got {self.extents!r}")
         extents = tuple(map(int, self.extents))
         terms = tuple([np.asarray(t, dtype=complex) for t in
                        (self.terms if isinstance(self.terms, tuple) else (self.terms,))])
@@ -194,6 +196,8 @@ class QuadraticAction:
         if shapes not in ([extents], [(Nt, 1, 1, 1), (1, *space)]):
             raise LatticeError(f"symbol terms shaped {shapes} are neither a grid nor a (time, space) pair "
                                f"for extents {extents}")
+        if not all(np.isfinite(t).all() for t in terms):
+            raise LatticeError("symbol terms must be finite")
         object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "terms", terms)
 
@@ -305,6 +309,16 @@ def _time_plus_space_rows(tau: np.ndarray, space: np.ndarray, time2: np.ndarray,
     return rows
 
 
+def _step_torus(extents: tuple[int, int, int, int], L: int) -> TorusShape:
+    """make_shape(1, L, Nt/L^2, Nx/L), the output torus of a step on a
+    symbol of these extents; raises :class:`LatticeError` unless L^2 | Nt,
+    L | Nx and space is cubic."""
+    Nt, Nx = extents[:2]
+    if Nt % (L * L) != 0 or Nx % L != 0 or extents[2:] != (Nx, Nx):
+        raise LatticeError(f"block step needs L^2 | Nt, L | Nx and cubic space, got {extents}, L={L}")
+    return make_shape(1, L, Nt // (L * L), Nx // L)
+
+
 def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile = SHARP) -> QuadraticAction:
     """One exact quadratic-level block-spin step.
 
@@ -362,10 +376,7 @@ def block_spin_step(action: QuadraticAction, L: int, profile: AveragingProfile =
     running prefactor builds up over the chain rather than being applied
     per step.  The output is a grid.
     """
-    Nt, Nx = action.extents[:2]
-    if Nt % (L * L) != 0 or Nx % L != 0 or action.extents[2:] != (Nx, Nx):
-        raise LatticeError(f"block step needs L^2 | Nt, L | Nx and cubic space, got {action.extents}, L={L}")
-    out = make_shape(1, L, Nt // (L * L), Nx // L)
+    out = _step_torus(action.extents, L)
     time2, space2 = _step_weights(out, L, profile)
     if len(action.terms) == 2:
         time, space = action.terms
@@ -388,9 +399,11 @@ def block_spin_step_dense(action: QuadraticAction, L: int, profile: AveragingPro
     G = input + (1/L^2) Q* Q, then reads the output symbol off the first row.
     Q is the transpose of Q* over the box volume L^5, the weight that
     :func:`blockspin.lattice_ops.block_average_adjoint` carries, so only Q*
-    (one column per coarse site) is applied.
+    (one column per coarse site) is applied.  The input torus is checked as
+    :func:`block_spin_step` checks it.
     """
     extents = action.extents
+    new_extents = _step_torus(extents, L).unit_extents
     sites = int(np.prod(extents))
     if sites > _DENSE_STEP_SITES:
         raise LatticeError(f"dense oracle capped at {_DENSE_STEP_SITES} sites")
@@ -406,7 +419,6 @@ def block_spin_step_dense(action: QuadraticAction, L: int, profile: AveragingPro
     G = A + Qstar @ Q / Lsq
     coarse_sites = Q.shape[0]
     out_op = np.eye(coarse_sites) / Lsq - Q @ np.linalg.solve(G, Qstar) / Lsq**2
-    new_extents = (extents[0] // (L * L), extents[1] // L, extents[2] // L, extents[3] // L)
     row0 = out_op[0, :].reshape(new_extents)
     symbol = from_modes(row0) * Lsq
     return QuadraticAction(new_extents, symbol)
@@ -542,9 +554,10 @@ class FlowStep:
     """One scale of a :func:`run_flow` trace.
 
     ``stop`` is None except on a trace's last row, where it says why the
-    trace ended: "max_steps", "stop_mu", or "renormalize_mu: no fixed point
-    ... at B = L^2 mu = ...", :func:`renormalize_mu`'s message, when the
-    next scale's chemical potential has no self-consistent value.
+    trace ended: "max_steps", "stop_mu" (the row's mu >= 0.5), or
+    "renormalize_mu: no fixed point ... at B = L^2 mu = ...",
+    :func:`renormalize_mu`'s message, when the next scale's chemical
+    potential has no self-consistent value.
     """
 
     params: FlowParams
@@ -553,12 +566,16 @@ class FlowStep:
     stop: str | None = None
 
 
+#: a trace stops at the first row whose chemical potential reaches this
+_STOP_MU = 0.5
+
+
 def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None = None,
-             stop_mu: float = 0.5, renormalize: bool = True, profile: AveragingProfile = SHARP) -> list[FlowStep]:
+             renormalize: bool = True, profile: AveragingProfile = SHARP) -> list[FlowStep]:
     """Trace the running couplings across scales.
 
     Halts after floor((2/5) log(1/v0)/log L) steps (or ``steps`` rows) or
-    once the chemical potential reaches ``stop_mu``, whichever comes first.
+    at the first row with mu >= 0.5, whichever comes first.
     With ``renormalize`` the trace uses the quadratic-level fixed point per
     step, :func:`renormalize_mu`'s root, exact to round-off (the trial's
     pull-back mu/L^2 is the step input); otherwise the closed form L^(2n)
@@ -576,8 +593,8 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
     Where the next scale has no fixed point
     (L^2 mu > 3 - 2 sqrt 2, short of the correction's pole at input
     mu = L^-2) the trace ends at the last good scale.  A renormalized mu
-    never exceeds 1 - sqrt(2)/2 (about 0.293), so the default ``stop_mu`` =
-    0.5 ends a renormalized trace only at a first row mu0 >= 0.5.  The last
+    never exceeds 1 - sqrt(2)/2 (about 0.293), so the stop at mu >= 0.5
+    ends a renormalized trace only at a first row mu0 >= 0.5.  The last
     row's ``stop`` records why the trace ended (see :class:`FlowStep`).
     """
     if shape.L != L:
@@ -595,14 +612,14 @@ def run_flow(mu0: float, v0: float, L: int, shape: TorusShape, steps: int | None
     trace: list[FlowStep] = []
     mu_running = mu0
     for n in range(n_last + 1):
-        params = _couplings(n, mu0, v0, L, _EPS, mu_running if renormalize else None)
+        params = _couplings(n, mu0, v0, L, mu_running if renormalize else None)
         try:
             radius, depth = _well(params.mu, params.v)
         except ArithmeticError:  # mu^2 overflows, or v underflows to 0
             radius = depth = math.nan
         if not math.isfinite(radius + depth):  # radius >= 0 >= depth: an inf or a NaN in either shows
             raise NumericalError(f"flow row {n} leaves the floating-point range at mu = {params.mu}, v = {params.v}")
-        stop = "stop_mu" if params.mu >= stop_mu else "max_steps" if n == n_last else None
+        stop = "stop_mu" if params.mu >= _STOP_MU else "max_steps" if n == n_last else None
         if stop is None and renormalize:
             try:
                 mu_running = renormalize_mu(params)

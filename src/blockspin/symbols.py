@@ -40,7 +40,9 @@ d (complex mu or d keeps k0's sign in the key) and negates the well
 symbol's off-diagonals at every mu.  The 625 momenta of a
 :func:`small_k_fit` stencil are 50 cube orbits and 30 orbits.
 
-Two time-derivative modes are supported:
+The symbol-level functions take a time-derivative ``mode``; the solvers,
+the action's quadratic forms and the spectrum run the discrete model alone,
+and the continuum pretend is kept as a symbol-level comparison:
 
 * ``discrete``  -- honest lattice difference symbols,
 * ``continuum`` -- the continuum pretend: -i*d*k0 off a quadratic spatial
@@ -422,9 +424,24 @@ def zero_field_symbol(k, mu, d, shape: TorusShape, mode: str = "discrete", profi
     return sigma if sigma.ndim else complex(sigma)
 
 
-#: the largest coupled fiber the dense oracles invert: zero-field, and well (2x2 blocks)
+#: the largest coupled fiber decomposed densely: scalar entries (the zero-field
+#: oracle, the fluctuation spectrum), and 2x2 blocks (the well oracle)
 _DENSE_FIBER_CAP = 2500
 _WELL_FIBER_CAP = 1500
+
+
+def _dense_core(a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coupled, diag(a) + u u^T over the coupled entries) of one fiber row.
+
+    Entries with averaging weight at or below _DEAD_WEIGHT decouple from the
+    rank-one part exactly and are left out; a core of more than
+    _DENSE_FIBER_CAP entries raises :class:`LatticeError`.
+    """
+    coupled = np.abs(u) > _DEAD_WEIGHT
+    ac, uc = a[coupled], u[coupled]
+    if ac.size > _DENSE_FIBER_CAP:
+        raise LatticeError(f"coupled fiber of size {ac.size} exceeds the dense cap {_DENSE_FIBER_CAP}")
+    return coupled, np.diag(ac) + np.outer(uc, uc)
 
 
 def zero_field_symbol_dense(k, mu, d, shape: TorusShape, mode: str = "discrete", profile: AveragingProfile = SHARP):
@@ -437,11 +454,8 @@ def zero_field_symbol_dense(k, mu, d, shape: TorusShape, mode: str = "discrete",
     """
     p = fiber_momenta_at(np.reshape(k, 4), shape)
     a, u = (x.reshape(-1) for x in _fiber_terms(p, mu, d, shape, mode, profile))
-    coupled = np.abs(u) > _DEAD_WEIGHT
-    ac, uc = a[coupled], u[coupled]
-    if ac.size > _DENSE_FIBER_CAP:
-        raise LatticeError(f"coupled fiber of size {ac.size} exceeds the dense-oracle cap {_DENSE_FIBER_CAP}")
-    M = np.diag(ac) + np.outer(uc, uc)
+    coupled, M = _dense_core(a, u)
+    uc = u[coupled]
     x = np.linalg.solve(M, uc)
     return complex(1.0 - uc @ x)
 
@@ -541,9 +555,9 @@ def well_fiber_dense(k, mu, d, shape: TorusShape, mode: str = "discrete", profil
     B = uc.size
     if B > _WELL_FIBER_CAP:
         raise LatticeError(f"coupled fiber of size {B} exceeds the dense-oracle cap {_WELL_FIBER_CAP}")
-    M = np.zeros((2 * B, 2 * B), dtype=complex)
-    for i in range(B):
-        M[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = Dc[i]
+    M = np.zeros((B, 2, B, 2), dtype=complex)
+    M[np.arange(B), :, np.arange(B), :] = Dc  # block i at rows and columns 2i, 2i + 1
+    M = M.reshape(2 * B, 2 * B)
     U = np.zeros((2 * B, 2), dtype=complex)
     U[0::2, 0] = uc
     U[1::2, 1] = uc

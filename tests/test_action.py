@@ -223,7 +223,7 @@ def test_action_minus_quadratic_form_scales_quartically():
         pair = base.scaled(lam)
         lin = solve_linear(pair, params)
         act = action_value(pair, FieldPair(lin.phi_star, lin.phi), params).total
-        quad = zero_field_quadratic_form(pair, params, mode="discrete")
+        quad = zero_field_quadratic_form(pair, params)
         lams.append(lam)
         errs.append(abs(act - quad))
     slope = np.polyfit(np.log(lams), np.log(errs), 1)[0]
@@ -241,8 +241,8 @@ def test_well_quadratic_form_constant_phase_is_flat():
     # a constant tangential perturbation costs nothing at zero momentum
     params = ModelParams(mu=2.0, v=0.5)
     theta = Field.constant(SMALL, "unit", 0.2)
-    base = well_quadratic_form(Field.zeros(SMALL, "unit"), Field.zeros(SMALL, "unit"), params, mode="continuum")
-    val = well_quadratic_form(Field.zeros(SMALL, "unit"), theta, params, mode="continuum")
+    base = well_quadratic_form(Field.zeros(SMALL, "unit"), Field.zeros(SMALL, "unit"), params)
+    val = well_quadratic_form(Field.zeros(SMALL, "unit"), theta, params)
     assert abs(val - base) <= 1e-12
 
 
@@ -257,7 +257,7 @@ def test_full_action_matches_well_form_to_third_order():
         lam = 2.0**-e
         R = R0.with_values(lam * R0.values)
         T = T0.with_values(lam * T0.values)
-        X, H = solve_well_linear(R, T, params, mode="discrete")
+        X, H = solve_well_linear(R, T, params)
         psi = FieldPair(
             Field(SMALL, "unit", r * np.exp(R.values - 1j * T.values)),
             Field(SMALL, "unit", r * np.exp(R.values + 1j * T.values)),
@@ -267,7 +267,7 @@ def test_full_action_matches_well_form_to_third_order():
             Field(SMALL, "fine", r * np.exp(X.values + 1j * H.values)),
         )
         act = action_value(psi, phi, params).total / r**2
-        quad = well_quadratic_form(R, T, params, mode="discrete")
+        quad = well_quadratic_form(R, T, params)
         lams.append(lam)
         errs.append(abs(act - quad))
     slope = np.polyfit(np.log(lams), np.log(errs), 1)[0]
@@ -321,5 +321,5 @@ def test_quadratic_form_matches_action_quadratic_part_exactly():
     pair = FieldPair.random(SMALL, "unit", rng, amplitude=0.05)
     lin = solve_linear(pair, params)
     av = action_value(pair, FieldPair(lin.phi_star, lin.phi), params)
-    quad = zero_field_quadratic_form(pair, params, mode="discrete")
+    quad = zero_field_quadratic_form(pair, params)
     assert abs((av.total - av.quartic) - quad) <= 1e-11 * max(1.0, abs(quad))

@@ -109,15 +109,23 @@ def test_torus_holds_the_one_transform():
     assert sum(_fft_uses(tree) for _, tree in _module_trees()) == sum(inside.values())
 
 
+# the symbol-level functions; the solvers and the action's forms run the discrete model alone
+MODE_TAKERS = {"symbols.heat_symbol", "symbols.well_matrix", "symbols.zero_field_symbol",
+               "symbols.zero_field_symbol_dense", "symbols.delta_identity_check", "symbols.well_symbol",
+               "symbols.well_fiber_dense", "symbols.momentum_bound_report"}
+
+
 def test_every_mode_defaults_to_discrete():
-    # a well symbol and a well solve called with defaults use the same operator
+    # only symbol-level functions take a mode, and each defaults to the discrete model
     defaults = {}
     for name, node, _ in _public_functions():
         args = node.args.posonlyargs + node.args.args
-        for arg, default in zip(args[len(args) - len(node.args.defaults):], node.args.defaults):
-            if arg.arg == "mode":
-                defaults[name] = ast.literal_eval(default)
-    assert len(defaults) >= 8 and set(defaults.values()) == {"discrete"}
+        given = dict(zip(args[len(args) - len(node.args.defaults):], node.args.defaults))
+        given.update(zip(node.args.kwonlyargs, node.args.kw_defaults))
+        for arg in args + node.args.kwonlyargs:
+            if arg.arg == "mode":  # a mode without a default is recorded as None
+                defaults[name] = given.get(arg) and ast.literal_eval(given[arg])
+    assert defaults == dict.fromkeys(MODE_TAKERS, "discrete")
 
 
 def test_all_lists_exactly_the_public_functions_and_classes():

@@ -118,8 +118,7 @@ def test_linear_solves_at_unit_extent_three(dims):
     assert sol.converged
     assert max(sol.residual) <= 1e-10
     R, T = Field.random(s, "unit", rng), Field.random(s, "unit", rng)
-    for mode in ("discrete", "continuum"):
-        solve_well_linear(R, T, ModelParams(mu=2.0, v=0.5), mode=mode)  # raises above its residual bound
+    solve_well_linear(R, T, ModelParams(mu=2.0, v=0.5))  # raises above its residual bound
 
 
 @pytest.mark.parametrize("dims, other", [((1, 3, 3, 1), (0, 3, 27, 3)), ((1, 3, 2, 2), (0, 3, 18, 6)),
@@ -237,7 +236,7 @@ def test_well_linear_zero_and_constant():
     assert np.max(np.abs(X.values)) == 0.0 and np.max(np.abs(H.values)) == 0.0
     rho = 0.3
     X, H = solve_well_linear(
-        Field.constant(SMALL, "unit", rho), Field.constant(SMALL, "unit", 0.0), params, mode="continuum"
+        Field.constant(SMALL, "unit", rho), Field.constant(SMALL, "unit", 0.0), params
     )
     np.testing.assert_allclose(X.values, rho / (1.0 + 2.0 * params.mu), atol=1e-12)
     np.testing.assert_allclose(H.values, 0.0, atol=1e-12)
@@ -274,7 +273,7 @@ def test_well_ansatz_quadratic_scaling():
         lam = 2.0**-e
         R = R0.with_values(lam * R0.values)
         T = T0.with_values(lam * T0.values)
-        X, H = solve_well_linear(R, T, params, mode="discrete")
+        X, H = solve_well_linear(R, T, params)
         psi = FieldPair(
             Field(SMALL, "unit", r * np.exp(R.values - 1j * T.values)),
             Field(SMALL, "unit", r * np.exp(R.values + 1j * T.values)),

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -88,12 +89,44 @@ def test_terms_that_do_not_broadcast_to_extents_raise(shapes):
     with pytest.raises(LatticeError, match=re.escape(str(shapes))):
         QuadraticAction((9, 3, 3, 3), terms)
 
+
+@pytest.mark.parametrize("extents", [(9, 3, 3), (9, 3, 3, 3, 1), (9, 3, 3, 0), (9.0, 3, 3, 3), (9, True, 3, 3)])
+def test_extents_other_than_four_positive_integers_raise(extents):
+    # (9, 3, 3) used to pass and fail later inside numpy
+    with pytest.raises(LatticeError, match="extents must be four positive integers"):
+        QuadraticAction(extents, np.ones((9, 3, 3), dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_terms_raise(bad):
+    # a NaN grid entry used to come out of the step as a NaN row, with only a RuntimeWarning
+    grid = np.ones((9, 3, 3, 3), dtype=complex)
+    grid[1, 2, 0, 1] = bad
+    with pytest.raises(LatticeError, match="symbol terms must be finite"):
+        QuadraticAction((9, 3, 3, 3), grid)
+    time, space = QuadraticAction.from_heat_minus_mu((9, 3, 3, 3), 0.1).terms
+    space = space.copy()
+    space[0, 1, 1, 1] = bad
+    with pytest.raises(LatticeError, match="symbol terms must be finite"):
+        QuadraticAction((9, 3, 3, 3), (time, space))
+
+
+@pytest.mark.parametrize("extents", [(9, 3, 3, 6), (9, 3, 6, 3), (12, 3, 3, 3), (9, 2, 2, 2)])
+def test_both_steps_check_the_torus_alike(extents):
+    # the dense step used to die in a numpy broadcast on non-cubic space
+    action = QuadraticAction(extents, np.ones(extents, dtype=complex))
+    message = re.escape(f"block step needs L^2 | Nt, L | Nx and cubic space, got {extents}, L=3")
+    for step in (block_spin_step, block_spin_step_dense):
+        with pytest.raises(LatticeError, match=message):
+            step(action, 3)
+
+
 def test_block_prefactor_values():
     assert flow_params_at(1, 1e-5, 1e-5, 3).a == 1.0
     assert flow_params_at(2, 1e-5, 1e-5, 3).a == 0.9  # (8/9)/(80/81) exactly
     # limit 1 - L^-2
     with pytest.warns(UserWarning, match="scale 40 beyond the admissible number of steps 25"):
-        assert flow_params_at(40, 1e-30, 1e-30, 3, eps=0.01).a == pytest.approx(1 - 3.0**-2, abs=1e-12)
+        assert flow_params_at(40, 1e-30, 1e-30, 3).a == pytest.approx(1 - 3.0**-2, abs=1e-12)
 
 
 def test_flow_params_leading_scaling():
@@ -516,7 +549,7 @@ R_MINUS, R_PLUS = 3.0 - 2.0 * math.sqrt(2.0), 3.0 + 2.0 * math.sqrt(2.0)
 
 def _at_base(B, L=2):
     """Flow params whose next scale's base L^2 mu is B; at L = 2 exactly B."""
-    return flow_params_at(1, 1e-5, 1e-5, L, mu_override=B / L**2)
+    return dataclasses.replace(flow_params_at(1, 1e-5, 1e-5, L), mu=B / L**2)
 
 
 def test_renormalize_mu_has_no_fixed_point_above_the_tangency():
@@ -699,13 +732,21 @@ def test_max_steps_and_flow_params_reject_a_bad_block_factor(L):
         flow_params_at(0, 1e-5, 1e-5, L)
 
 
+@pytest.mark.parametrize("n", [1.5, -1, True, 2.0, None])
+def test_flow_params_reject_a_scale_index_that_is_not_a_natural_number(n):
+    # flow_params_at(1.5, ...) used to return a row with n = 1.5
+    with pytest.raises(LatticeError, match=r"scale index n must be an integer >= 0"):
+        flow_params_at(n, 1e-4, 1e-3, 3)
+    assert flow_params_at(np.int64(1), 1e-3, 1e-3, 3) == flow_params_at(1, 1e-3, 1e-3, 3)
+
+
 def test_run_flow_row_count_and_ratios():
     trace = run_flow(1e-5, 1e-5, 3, make_shape(0, 3, 9, 3))
     assert len(trace) == 5
     for i in range(1, len(trace)):
         ratio = trace[i].params.mu / trace[i - 1].params.mu
         assert 0.9 * 9 <= ratio <= 1.1 * 9
-    # every row below the default stop_mu = 0.5; the trace ends at its last admissible scale
+    # every row below the stop at mu = 0.5; the trace ends at its last admissible scale
     assert all(row.params.mu < 0.5 for row in trace)
     assert [row.stop for row in trace] == [None] * 4 + ["max_steps"]
 
@@ -719,7 +760,7 @@ def test_run_flow_closed_form_geometry_ratios():
 
 def test_run_flow_stops_at_mu_threshold():
     with pytest.warns(UserWarning, match="initial chemical potential 0.003 outside the admissible window"):
-        trace = run_flow(3e-3, 1e-6, 3, make_shape(0, 3, 9, 3), renormalize=False, stop_mu=0.5)
+        trace = run_flow(3e-3, 1e-6, 3, make_shape(0, 3, 9, 3), renormalize=False)
     # closed form: mu_n = 9^n * 3e-3 crosses 0.5 at n=3 (2.187); the trace
     # includes the crossing row and stops
     assert trace[-1].params.mu >= 0.5
@@ -734,14 +775,17 @@ def test_flow_params_at_kappa_step_ratio_exact():
     assert f2.kappa / f1.kappa == pytest.approx(3.0**0.75, rel=1e-14)
 
 
-def _rebuilt_trace(mu0, v0, L, steps, stop_mu, renormalize):
-    """run_flow's rows from the public functions, one flow_params_at call per row."""
+def _rebuilt_trace(mu0, v0, L, steps, renormalize):
+    """run_flow's rows from the public functions, one flow_params_at call per
+    row, at the running mu when renormalized."""
     n_last = max_steps(v0, L) if steps is None else min(max_steps(v0, L), steps - 1)
-    rows, mu = [], mu0 if renormalize else None
+    rows, mu = [], mu0
     for n in range(n_last + 1):
-        params = flow_params_at(n, mu0, v0, L, mu_override=mu)
+        params = flow_params_at(n, mu0, v0, L)
+        if renormalize:
+            params = dataclasses.replace(params, mu=mu)
         well = well_geometry(params)
-        stop = "stop_mu" if params.mu >= stop_mu else "max_steps" if n == n_last else None
+        stop = "stop_mu" if params.mu >= 0.5 else "max_steps" if n == n_last else None
         if stop is None and renormalize:
             try:
                 mu = renormalize_mu(params)
@@ -754,20 +798,19 @@ def _rebuilt_trace(mu0, v0, L, steps, stop_mu, renormalize):
 
 
 @given(st.sampled_from((3, 5, 7)), st.floats(-9.0, 0.0), st.floats(0.0, 1.0),
-       st.one_of(st.none(), st.integers(1, 5)), st.booleans(), st.sampled_from((0.05, 0.5)))
-@example(3, -5.0, 0.81, None, True, 0.5)  # ends at renormalize_mu's hard stop
-@example(3, -6.0, 1.0, None, False, 0.5)  # mu0 above the window: ends at stop_mu
+       st.one_of(st.none(), st.integers(1, 5)), st.booleans())
+@example(3, -5.0, 0.81, None, True)  # ends at renormalize_mu's hard stop
+@example(3, -6.0, 1.0, None, False)  # mu0 above the window: ends at stop_mu
 @settings(max_examples=60)
-def test_run_flow_rows_are_flow_params_at_rows(L, log_v0, t, steps, renormalize, stop_mu):
+def test_run_flow_rows_are_flow_params_at_rows(L, log_v0, t, steps, renormalize):
     # mu0 from half a decade below the admissible window to half a decade above it
     v0 = 10.0**log_v0
     lo, hi = (math.log10(b) for b in admissible_window(0.0, v0))
     mu0 = 10.0 ** (lo - 0.5 + t * (hi - lo + 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the window warning
-        trace = run_flow(mu0, v0, L, make_shape(0, L, L * L, L), steps=steps, stop_mu=stop_mu,
-                         renormalize=renormalize)
-        assert trace == _rebuilt_trace(mu0, v0, L, steps, stop_mu, renormalize)
+        trace = run_flow(mu0, v0, L, make_shape(0, L, L * L, L), steps=steps, renormalize=renormalize)
+        assert trace == _rebuilt_trace(mu0, v0, L, steps, renormalize)
 
 
 def test_run_flow_warns_once_per_trace_and_flow_params_at_per_call():

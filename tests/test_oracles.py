@@ -1,6 +1,7 @@
-"""Dense oracles for the fluctuation spectrum and the GMRES Newton direction.
+"""Dense oracles for the fluctuation spectrum, its covariance root and the
+GMRES Newton direction.
 
-Both compare a fiber-path result with the dense matrix of the direct-space
+Each compares a fiber-path result with the dense matrix of the direct-space
 operator Q*Q + heat - mu, assembled column by column through the roll loops
 of ``background._direct_operator``.  That operator is real, and its
 mu-dependence is -mu I, so one assembly at mu = 0 per (shape, profile)
@@ -11,6 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -26,7 +28,8 @@ from blockspin.background import (
     nonlinear_residuals,
 )
 from blockspin.lattice_ops import SHARP, SMOOTH, operator_matrix
-from blockspin.torus import Field, FieldPair, make_shape
+from blockspin.symbols import _DEAD_WEIGHT
+from blockspin.torus import Field, FieldPair, fiber_merge, fiber_split, from_modes, make_shape, to_modes
 
 
 @lru_cache(maxsize=None)
@@ -65,6 +68,54 @@ def test_fluctuation_spectrum_matches_dense_operator(dims, profile, mu):
     assert gap[rows, cols].max() <= 1e-10
     on_negative_axis = (np.abs(dense.imag) <= 1e-9) & (dense.real <= 1e-9)
     assert report.sqrt_in_right_half_plane == (not on_negative_axis.any())
+
+
+def _fiber_coordinates(shape):
+    """(F, F^-1): F the matrix of fiber_split o to_modes on the fine basis
+    fields, so that F A F^-1 holds A's fiber rows as diagonal blocks."""
+    n, rows = shape.sites("fine"), shape.sites("unit")
+    F = fiber_split(to_modes(np.eye(n).reshape(shape.fine_extents + (n,))), shape).reshape(n, n)
+    F_inv = from_modes(fiber_merge(np.eye(n).reshape(rows, n // rows, n), shape)).reshape(n, n)
+    return F, F_inv
+
+
+@pytest.mark.parametrize("dims, profile", [((1, 3, 1, 1), SHARP), ((1, 3, 1, 1), SMOOTH), ((1, 3, 2, 1), SHARP)],
+                         ids=["1111-sharp", "1111-smooth", "1121-sharp"])
+def test_covariance_roots_match_the_dense_root(monkeypatch, dims, profile):
+    # the spectrum's root of each coupled core's inverse is the matching block
+    # of the dense covariance root sqrtm(inv(Q*Q + heat - mu)) in fiber coordinates
+    shape, mu = make_shape(*dims), 0.5
+    params = ModelParams(mu=mu, v=1.0)
+    sqrtm, roots = scipy.linalg.sqrtm, []
+
+    def recorded(cov, *args, **kwargs):
+        root = sqrtm(cov, *args, **kwargs)
+        roots.append(root)
+        return root
+
+    monkeypatch.setattr(scipy.linalg, "sqrtm", recorded)
+    report = fluctuation_spectrum(params, shape, profile)
+    monkeypatch.undo()
+    assert report.min_distance > 0
+
+    n = shape.sites("fine")
+    F, F_inv = _fiber_coordinates(shape)
+    op = F @ (_dense_operator(dims, profile) - mu * np.eye(n)) @ F_inv
+    root = F @ scipy.linalg.sqrtm(np.linalg.inv(_dense_operator(dims, profile) - mu * np.eye(n))) @ F_inv
+    fiber = _FiberOperator(shape, params, profile)
+    B = fiber.u.shape[1]
+    cores = iter(roots)
+    for row, (u, a) in enumerate(zip(fiber.u, fiber.a_plain)):
+        block = slice(row * B, (row + 1) * B)
+        np.testing.assert_allclose(op[block, block], np.diag(a) + np.outer(u, u), rtol=0,
+                                   atol=1e-10 * np.max(np.abs(op[block, block])))
+        coupled = np.abs(u) > _DEAD_WEIGHT
+        expected = np.diag(np.where(coupled, 0.0, 1.0 / np.sqrt(a)))
+        if coupled.any():
+            expected[np.ix_(coupled, coupled)] = next(cores)
+        dense = root[block, block]
+        np.testing.assert_allclose(expected, dense, rtol=0, atol=1e-10 * np.max(np.abs(dense)))
+    assert next(cores, None) is None  # one recorded root per coupled core
 
 
 def _external_pair(shape, regime, rng):
